@@ -218,7 +218,7 @@ def effective_clients(instance: ArrivalInstance, prefix_len: int | None = None) 
         prefix_len = instance.client_count
     if not 0 <= prefix_len <= instance.client_count:
         raise ValueError("prefix length out of range")
-    engine = SapEngine(instance, capacity=[1] * instance.server_count)
+    engine = SapEngine(instance, capacity=(1,) * instance.server_count)
     grew = []
     for c in range(prefix_len):
         if engine.step(c).matched:

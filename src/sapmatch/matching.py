@@ -4,6 +4,17 @@ The protocol: every arriving client is matched along a shortest augmenting
 path to a server with spare capacity, rematching the clients along the way.
 A path with k edges rematches (k-1)/2 previously matched clients; those are
 the "replacements" the run log tracks.
+
+Dead-server pruning (Hopcroft-Karp 1973).  When a search fails, the set R
+it reached holds no server with spare capacity and is closed under residual
+arcs: a client in R points only at neighbors in R, and a server in R only at
+its own clients, also in R.  An augmenting path that enters R can never
+leave it, so no augmenting path enters R: R's matching never changes and R
+stays closed, since later clients only add arcs that start outside R.
+Searches can therefore skip R's servers for good without changing the
+distance of any live vertex, the free server chosen, or the path
+reconstructed.  This holds only while capacities are fixed: a server of R
+that gains a slot reopens R.
 """
 
 from __future__ import annotations
@@ -99,7 +110,7 @@ class MatchState:
 
     server_of_client: list[Optional[int]]
     clients_of_server: list[list[int]]
-    capacity: list[int]
+    capacity: Sequence[int]
     arrived_count: int = 0
 
     @staticmethod
@@ -176,6 +187,15 @@ class SapEngine:
     lists in ascending index order, the free server chosen is the smallest
     index in the first layer that contains one, and the path is reconstructed
     by always taking the smallest-index predecessor client.
+
+    A failed search adds every server it reached to ``dead``, and later
+    searches skip those servers (see the module docstring for why no output
+    changes).  That needs fixed capacities, so pruning is on only when the
+    engine owns them: with ``capacity=None`` or any non-list sequence they are
+    stored as a tuple, and writing to one raises ``TypeError``.  A ``list`` is
+    kept as a shared reference that the caller may grow in place (min-max and
+    semi-matching allowances); the engine then sets ``dead = None`` and never
+    prunes.
     """
 
     def __init__(
@@ -185,13 +205,16 @@ class SapEngine:
         log: RunLog | None = None,
     ):
         self.instance = instance
+        caps: Sequence[int]
         if capacity is None:
-            cap_list = [instance.capacity(s) for s in range(instance.server_count)]
+            caps = tuple(instance.capacity(s) for s in range(instance.server_count))
         elif isinstance(capacity, list):
-            cap_list = capacity  # shared reference: callers may grow allowances in place
+            caps = capacity  # shared reference: callers may grow allowances in place
         else:
-            cap_list = list(capacity)
-        self.state = MatchState([], [[] for _ in range(instance.server_count)], cap_list)
+            caps = tuple(capacity)
+        self.state = MatchState([], [[] for _ in range(instance.server_count)], caps)
+        # Servers no augmenting path can reach again; None when capacities may grow.
+        self.dead: set[int] | None = None if isinstance(caps, list) else set()
         # Arrived clients adjacent to each server, ascending (ids arrive in order).
         self.server_adj: list[list[int]] = [[] for _ in range(instance.server_count)]
         self.log = log if log is not None else RunLog()
@@ -216,6 +239,7 @@ class SapEngine:
         if state.server_of_client[client] is not None:
             raise ValueError("client is already matched")
 
+        dead = self.dead if self.dead is not None else ()
         dist_client: dict[int, int] = {client: 0}
         dist_server: dict[int, int] = {}
         frontier = [client]
@@ -226,7 +250,7 @@ class SapEngine:
             for c in frontier:
                 own = state.server_of_client[c]
                 for s in self.instance.neighbors(c):
-                    if s != own and s not in dist_server:
+                    if s != own and s not in dist_server and s not in dead:
                         dist_server[s] = depth + 1
                         new_servers.append(s)
             free = [s for s in new_servers if state.is_free(s)]
@@ -243,6 +267,8 @@ class SapEngine:
             frontier = next_clients
             depth += 2
         if target is None:
+            if self.dead is not None:
+                self.dead.update(dist_server)
             return None
 
         # Walk back from the free server, taking the smallest-index client

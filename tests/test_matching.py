@@ -8,7 +8,22 @@ from typing import Optional, Sequence
 import pytest
 from hypothesis import given, settings
 
-from sapmatch import ArrivalInstance, AugPath, SapEngine, hopcroft_karp_size, run_sap
+from sapmatch import (
+    ArrivalInstance,
+    AugPath,
+    SapEngine,
+    balance,
+    effective_necessities,
+    extensions,
+    gen_minmax_adversary,
+    gen_random,
+    gen_star_chain,
+    hopcroft_karp_size,
+    oracle_shortest_aug_path,
+    run_minmax,
+    run_sap,
+    run_semi_matching,
+)
 from conftest import instance_corpus, small_instances
 
 
@@ -210,6 +225,173 @@ class TestRunLog:
             while h <= 2 * inst.client_count:
                 assert log.long_path_counts.get(h, 0) == log.count_paths_longer_than(h)
                 h *= 2
+
+
+def unpruned_engine(inst: ArrivalInstance) -> SapEngine:
+    """The same engine on a shared capacity list, which turns pruning off."""
+    return SapEngine(inst, capacity=[inst.capacity(s) for s in range(inst.server_count)])
+
+
+def with_capacity(inst: ArrivalInstance, units: int) -> ArrivalInstance:
+    return ArrivalInstance(inst.server_count, inst.arrivals, (units,) * inst.server_count)
+
+
+def count_free_checks(engine: SapEngine) -> list[int]:
+    """Count the servers the engine's searches reach.
+
+    The BFS asks ``is_free`` exactly once of every server it reaches, and a
+    failed search makes no other call, so the counter is the work of a failed
+    search in servers visited.
+    """
+    calls = [0]
+    is_free = engine.state.is_free
+
+    def counting(server: int) -> bool:
+        calls[0] += 1
+        return is_free(server)
+
+    engine.state.is_free = counting
+    return calls
+
+
+class TestDeadServerPruning:
+    @pytest.mark.parametrize(
+        "build, min_dead",
+        [
+            (lambda: gen_random(2560, 4096, 3, seed=3), 2000),
+            # the same overload with two slots per server: a quarter of the servers
+            (lambda: with_capacity(gen_random(640, 2048, 3, seed=3), 2), 500),
+            (lambda: gen_star_chain(40), 0),
+            (lambda: gen_minmax_adversary(16), 16),
+        ],
+        ids=["random-4096", "random-2048-capacity-2", "star-chain-40", "adversary-16"],
+    )
+    def test_same_run_as_unpruned(self, build, min_dead):
+        inst = build()
+        engine = SapEngine(inst)
+        state, log = engine.run()
+        reference = unpruned_engine(inst)
+        ref_state, ref_log = reference.run()
+        assert reference.dead is None
+        assert log.records == ref_log.records
+        assert state.server_of_client == ref_state.server_of_client
+        assert state.clients_of_server == ref_state.clients_of_server
+        assert len(engine.dead) >= min_dead
+        if min_dead == 0:  # no search fails on star chains
+            assert engine.dead == set()
+
+    def test_lengths_match_oracle(self):
+        rng = random.Random(808)
+        corpus = instance_corpus(100, seed=808, max_clients=80, max_servers=30, max_degree=3)
+        corpus = [
+            inst if i % 2 else ArrivalInstance(
+                inst.server_count,
+                inst.arrivals,
+                tuple(rng.randint(1, 3) for _ in range(inst.server_count)),
+            )
+            for i, inst in enumerate(corpus)
+        ]
+        dead = 0
+        for inst in corpus:
+            engine = SapEngine(inst)
+            neighbors = [inst.neighbors(c) for c in range(inst.client_count)]
+            for c in range(inst.client_count):
+                snapshot = list(engine.state.server_of_client) + [None]
+                rec = engine.step(c)
+                assert rec.path_edges == oracle_shortest_aug_path(
+                    neighbors, snapshot, engine.state.capacity, c
+                )
+            dead += len(engine.dead)
+        assert dead >= 500  # the corpus must actually prune
+
+    def test_dead_servers_fully_necessary(self):
+        corpus = instance_corpus(25, seed=71, max_clients=30, max_servers=10, max_degree=2)
+        joined = 0
+        for inst in corpus:
+            engine = SapEngine(inst)
+            for c in range(inst.client_count):
+                before = set(engine.dead)
+                engine.step(c)
+                new = engine.dead - before
+                if new:
+                    joined += len(new)
+                    necessity = effective_necessities(inst, c + 1)
+                    assert all(necessity[s] == 1 for s in new)
+        assert joined >= 50  # the corpus must actually exercise pruning
+
+    def test_failed_searches_visit_each_server_once(self):
+        corpus = instance_corpus(25, seed=72, max_clients=40, max_servers=12, max_degree=2)
+        corpus.append(gen_random(640, 1024, 3, seed=5))
+        dead = 0
+        for inst in corpus:
+            engine = SapEngine(inst)
+            visits = count_free_checks(engine)
+            failed_visits = 0
+            for c in range(inst.client_count):
+                start, before = visits[0], len(engine.dead)
+                if not engine.step(c).matched:
+                    reached = visits[0] - start
+                    # every server reached was live before and is dead after
+                    assert reached == len(engine.dead) - before
+                    failed_visits += reached
+            assert failed_visits == len(engine.dead) <= inst.server_count
+            dead += len(engine.dead)
+        assert dead >= 500  # the corpus must actually prune
+
+        # without pruning, failed searches rescan the dead region many times
+        inst = corpus[-1]
+        reference = unpruned_engine(inst)
+        visits = count_free_checks(reference)
+        unpruned_failed_visits = 0
+        for c in range(inst.client_count):
+            start = visits[0]
+            if not reference.step(c).matched:
+                unpruned_failed_visits += visits[0] - start
+        assert unpruned_failed_visits > 10 * inst.server_count
+
+
+def record_engines(monkeypatch, module) -> list[SapEngine]:
+    """Collect every SapEngine that ``module`` builds while the test runs."""
+    engines: list[SapEngine] = []
+
+    class Recording(SapEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+    monkeypatch.setattr(module, "SapEngine", Recording)
+    return engines
+
+
+class TestCapacityGuard:
+    def test_shared_list_never_prunes(self):
+        inst = gen_random(64, 128, 2, seed=9)
+        engine = SapEngine(inst, capacity=[1] * inst.server_count)
+        _, log = engine.run()
+        assert log.matched_count() < inst.client_count  # searches did fail
+        assert engine.dead is None
+
+    def test_growing_engines_never_prune(self, monkeypatch):
+        engines = record_engines(monkeypatch, extensions)
+        run_minmax(gen_minmax_adversary(8))
+        run_semi_matching(gen_random(5, 12, 2, seed=4), 1)
+        assert len(engines) == 2
+        assert all(engine.dead is None for engine in engines)
+
+    def test_effective_clients_prunes(self, monkeypatch):
+        engines = record_engines(monkeypatch, balance)
+        inst = gen_random(8, 24, 2, seed=6)
+        members = balance.effective_clients(inst)
+        (engine,) = engines
+        assert engine.dead
+        assert members == frozenset(c for c, r in enumerate(run_sap(inst)[1].records) if r.matched)
+
+    @pytest.mark.parametrize("capacity", [None, (1, 1, 1), range(1, 4)])
+    def test_owned_capacities_are_fixed(self, capacity):
+        engine = SapEngine(ArrivalInstance.build(3, [[0], [1, 2]]), capacity=capacity)
+        assert engine.dead == set()
+        with pytest.raises(TypeError):
+            engine.state.capacity[0] = 2
 
 
 @settings(max_examples=60, deadline=None)

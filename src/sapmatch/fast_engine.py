@@ -35,12 +35,30 @@ class PruneEvent:
     clients: frozenset[int]
 
 
+class _BfsCheckedTree(SinkDistanceTree):
+    """A sink tree that checks itself against a fresh BFS after every change."""
+
+    def insert_arc(self, u: int, v: int) -> None:
+        super().insert_arc(u, v)
+        self.validate_against_bfs()
+
+    def delete_arc(self, u: int, v: int) -> None:
+        super().delete_arc(u, v)
+        self.validate_against_bfs()
+
+    def delete_node(self, v: int) -> None:
+        super().delete_node(v)
+        self.validate_against_bfs()
+
+
 class FastSapEngine:
     """Tree-first search with brute-force fallback and permanent pruning.
 
-    ``debug=True`` re-validates the distance structure against a fresh BFS
-    after every single arc change; otherwise validation samples one update
-    in ``validate_every`` (pass 0 to disable).
+    Every ``step`` ends with the tree's local Bellman check
+    (``SinkDistanceTree.validate_local``), which costs in proportion to the
+    arrival's updates and proves the tree still equals a fresh truncated BFS.
+    ``run`` also checks it against a full BFS once at the end, and
+    ``debug=True`` does so after every single arc change as well.
     """
 
     def __init__(
@@ -48,7 +66,6 @@ class FastSapEngine:
         instance: ArrivalInstance,
         depth_limit: int | None = None,
         debug: bool = False,
-        validate_every: int = 64,
     ):
         if not instance.has_unit_capacities():
             raise ValueError("the fast engine handles unit capacities only")
@@ -61,12 +78,11 @@ class FastSapEngine:
         # attached only to the sink; their dummy arc disappears on arrival.
         arcs = [(self.n + s, self.sink) for s in range(instance.server_count)]
         arcs += [(c, self.sink) for c in range(n)]
-        self.tree = SinkDistanceTree(self.sink + 1, self.sink, limit, arcs)
+        tree_type = _BfsCheckedTree if debug else SinkDistanceTree
+        self.tree = tree_type(self.sink + 1, self.sink, limit, arcs)
         self.state = MatchState([], [[] for _ in range(instance.server_count)], [1] * instance.server_count)
         self.log = RunLog()
         self.prune_events: list[PruneEvent] = []
-        self._validate_every = 1 if debug else validate_every
-        self._updates = 0
 
     @property
     def depth_limit(self) -> int:
@@ -74,22 +90,6 @@ class FastSapEngine:
 
     def _server_node(self, server: int) -> int:
         return self.n + server
-
-    def _tick(self) -> None:
-        self._updates += 1
-        if self._validate_every and self._updates % self._validate_every == 0:
-            self.tree.validate_against_bfs()
-
-    def _insert(self, u: int, v: int) -> None:
-        self.tree.insert_arc(u, v)
-        self._tick()
-
-    def _delete(self, u: int, v: int) -> None:
-        self.tree.delete_arc(u, v)
-        self._tick()
-
-    def _to_aug_path(self, nodes: list[int]) -> AugPath:
-        return AugPath(tuple(v if v < self.n else v - self.n for v in nodes))
 
     def _brute_force(self, client: int) -> tuple[Optional[list[int]], set[int]]:
         """Plain BFS over the live digraph; returns (node path to sink, touched nodes)."""
@@ -113,7 +113,6 @@ class FastSapEngine:
     def _prune(self, arrival: int, touched: set[int]) -> None:
         for v in sorted(touched):
             self.tree.delete_node(v)
-            self._tick()
         self.log.pruned_nodes += len(touched)
         self.prune_events.append(
             PruneEvent(
@@ -123,53 +122,55 @@ class FastSapEngine:
             )
         )
 
-    def _apply_augment(self, path: AugPath) -> None:
-        flip_path(self.state, path)
-        nodes = [v if i % 2 == 0 else self._server_node(v) for i, v in enumerate(path.vertices)]
+    def _apply_augment(self, nodes: list[int]) -> None:
+        """Flip the augmenting path given as digraph nodes (client first, sink left out)."""
+        n = self.n
+        flip_path(self.state, AugPath(tuple(v if v < n else v - n for v in nodes)))
         # Reverse the path arcs starting next to the client; the dummy arc of
         # the terminal server goes last, once that server is matched.
+        tree = self.tree
         for u, v in zip(nodes, nodes[1:]):
-            self._insert(v, u)
-            self._delete(u, v)
-        self._delete(nodes[-1], self.sink)
+            tree.insert_arc(v, u)
+            tree.delete_arc(u, v)
+        tree.delete_arc(nodes[-1], self.sink)
 
     def step(self, client: int) -> ArrivalRecord:
         if client != self.state.arrived_count:
             raise ValueError(
                 f"clients arrive in order; expected {self.state.arrived_count}, got {client}"
             )
+        if client >= self.n:
+            raise ValueError("client id beyond the instance")
+        tree = self.tree
         self.state.server_of_client.append(None)
         self.state.arrived_count += 1
         for s in self.instance.neighbors(client):
-            node = self._server_node(s)
-            if node not in self.tree.deleted:
-                self._insert(client, node)
+            node = self.n + s
+            if node not in tree.deleted:
+                tree.insert_arc(client, node)
         # Deleting the dummy arc last keeps every insertion distance-neutral.
-        self._delete(client, self.sink)
+        tree.delete_arc(client, self.sink)
 
-        path: Optional[AugPath] = None
-        if self.tree.level[client] <= self.depth_limit:
-            node_path = self.tree.path_to_sink(client)
-            path = self._to_aug_path(node_path[:-1])
+        node_path: Optional[list[int]]
+        if tree.level[client] <= tree.depth_limit:
+            node_path = tree.path_to_sink(client)
             self.log.tree_paths += 1
         else:
             node_path, touched = self._brute_force(client)
             if node_path is not None:
-                path = self._to_aug_path(node_path[:-1])
                 self.log.brute_paths += 1
             else:
                 self.log.brute_failures += 1
                 self._prune(client, touched)
-        if path is None:
-            return self.log.record(client, None)
-        self._apply_augment(path)
-        return self.log.record(client, path.edge_count)
+        if node_path is not None:
+            self._apply_augment(node_path[:-1])
+        tree.validate_local()
+        return self.log.record(client, None if node_path is None else len(node_path) - 2)
 
     def run(self) -> tuple[MatchState, RunLog]:
         for client in range(self.instance.client_count):
             self.step(client)
-        if self._validate_every:
-            self.tree.validate_against_bfs()
+        self.tree.validate_against_bfs()
         return self.state, self.log
 
 

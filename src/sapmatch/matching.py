@@ -212,6 +212,8 @@ class SapEngine:
             caps = capacity  # shared reference: callers may grow allowances in place
         else:
             caps = tuple(capacity)
+        if len(caps) != instance.server_count:
+            raise ValueError("capacity vector must cover every server")
         self.state = MatchState([], [[] for _ in range(instance.server_count)], caps)
         # Servers no augmenting path can reach again; None when capacities may grow.
         self.dead: set[int] | None = None if isinstance(caps, list) else set()

@@ -3,14 +3,39 @@
 Supports arc deletions freely, arc insertions under the caller's guarantee
 that no insertion shortens any distance, and whole-node removal.  Distances
 are maintained exactly up to ``depth_limit``; anything further is collapsed
-into a single HIGH level.  Deletion repair is the usual scan-and-raise: a
-node whose supporting arc disappears rescans its out-arcs and, if its level
-rose, notifies the nodes it was supporting.
+into a single HIGH level.  Deletion repair is the usual scan-and-raise of an
+Even-Shiloach tree (Even-Shiloach 1981): a node whose supporting arc
+disappears rescans its out-arcs and, if its level rose, its children in the
+tree (kept as explicit sets) rescan in turn.
+
+Local validation.  Call a node's *Bellman condition* the statement that its
+level is ``min(high, 1 + min level over its out-neighbours)`` and, below
+``high``, its parent is an out-neighbour one level lower; a removed node sits
+at ``high`` with no arcs.  These truncated Bellman equations have exactly one
+solution, the truncated BFS distances: a level ``k`` below ``high`` has a
+parent chain of ``k`` arcs to the sink, so it is at least the distance, and
+walking back along a shortest path of at most ``depth_limit`` arcs shows it
+is at most the distance.  A node's condition reads only its own level and
+parent, its out-arcs and its out-neighbours' levels, so an update can break
+it only at
+
+- the nodes ``_repair`` starts from (their parent arc went away);
+- the in-neighbours of every node whose level rose (this covers every node
+  whose parent ``_repair`` rewrote, since it rescans only seeds and children
+  of risen nodes);
+- a removed node and its in-neighbours.
+
+An insertion breaks no condition, because ``insert_arc`` rejects every arc
+that would shorten a distance.  The tree records exactly these nodes in
+``dirty``; ``validate_local`` checks them and clears the set.  If the tree
+equalled a fresh BFS before, it equals one after, at a cost in proportion to
+the update instead of the graph.  The set is filled by what changed, not by
+what ``_repair`` chose to rescan, so a repair that skips nodes is caught.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from typing import Iterable
 
 from .errors import InvariantViolation
@@ -23,6 +48,11 @@ class SinkDistanceTree:
     most ``depth_limit``; the sentinel value ``high`` (= depth_limit + 1)
     means "further than the limit".  Levels never decrease over the life of
     the structure; a violation of that contract raises InvariantViolation.
+    ``children[v]`` is the set of nodes whose parent is ``v``; a node holds a
+    set only while it has children, so leaves cost no memory.  The sink's
+    children are not kept: the sink never rises and is never removed, so no
+    repair reads them, and no arc that would give the sink a new child can
+    pass the no-shortening check.
     """
 
     def __init__(
@@ -49,8 +79,11 @@ class SinkDistanceTree:
             self.into[v].add(u)
         self.level = [self.high] * node_count
         self.parent: list[int | None] = [None] * node_count
+        self.children: defaultdict[int, set[int]] = defaultdict(set)
         self.level[sink] = 0
         self._init_levels()
+        # Nodes whose Bellman condition may have changed since validate_local.
+        self.dirty: set[int] = set()
 
     def _check_endpoints(self, u: int, v: int) -> None:
         if not (0 <= u < self.node_count and 0 <= v < self.node_count) or u == v:
@@ -68,6 +101,8 @@ class SinkDistanceTree:
                 if self.level[u] > self.level[v] + 1:
                     self.level[u] = self.level[v] + 1
                     self.parent[u] = v
+                    if v != self.sink:
+                        self.children[v].add(u)
                     queue.append(u)
 
     def has_arc(self, u: int, v: int) -> bool:
@@ -94,7 +129,7 @@ class SinkDistanceTree:
         self.out[u].discard(v)
         self.into[v].discard(u)
         if self.parent[u] == v:
-            self._repair([u])
+            self._repair((u,))
 
     def delete_node(self, v: int) -> None:
         """Remove a node and all incident arcs; its level becomes permanently HIGH."""
@@ -102,7 +137,8 @@ class SinkDistanceTree:
             raise ValueError("the sink cannot be removed")
         if v in self.deleted:
             raise ValueError("node already removed")
-        seeds = [u for u in self.into[v] if self.parent[u] == v]
+        self.dirty.add(v)
+        self.dirty.update(self.into[v])
         for u in self.into[v]:
             self.out[u].discard(v)
         for w in self.out[v]:
@@ -111,32 +147,55 @@ class SinkDistanceTree:
         self.into[v].clear()
         self.deleted.add(v)
         self.level[v] = self.high
-        self.parent[v] = None
-        self._repair(seeds)
+        p = self.parent[v]
+        if p is not None:
+            siblings = self.children[p]
+            siblings.discard(v)
+            if not siblings:
+                del self.children[p]
+            self.parent[v] = None
+        kids = self.children.get(v)
+        if kids:
+            # Every child of v lost its parent arc; each moves to a new parent.
+            self._repair(tuple(kids))
 
-    def _repair(self, seeds: Iterable[int]) -> None:
+    def _repair(self, seeds: tuple[int, ...]) -> None:
+        level, parent, children, out, dirty = self.level, self.parent, self.children, self.out, self.dirty
+        high = self.high
+        dirty.update(seeds)
         queue = deque(seeds)
         while queue:
             u = queue.popleft()
-            if u == self.sink or u in self.deleted:
-                continue
-            best = self.high
+            # Seeds and children are live non-sink nodes, so out[u] is intact.
+            # best starts above every candidate: the first arc sets support.
+            best = high + 2
             support = None
-            for w in self.out[u]:
-                candidate = self.level[w] + 1
-                if candidate < best or (candidate == best and (support is None or w < support)):
+            for w in out[u]:
+                candidate = level[w] + 1
+                if candidate < best or (candidate == best and w < support):
                     best = candidate
                     support = w
-            if best > self.depth_limit:
-                best, support = self.high, None
-            if best < self.level[u]:
+            if best >= high:
+                best, support = high, None
+            current = level[u]
+            if best < current:
                 raise InvariantViolation(f"level of node {u} tried to decrease")
-            if best > self.level[u]:
-                self.level[u] = best
-                self.parent[u] = support
-                queue.extend(x for x in self.into[u] if self.parent[x] == u)
-            else:
-                self.parent[u] = support
+            old = parent[u]
+            if support != old:
+                if old is not None:
+                    kids = children[old]
+                    kids.discard(u)
+                    if not kids:
+                        del children[old]
+                if support is not None:
+                    children[support].add(u)
+                parent[u] = support
+            if best > current:
+                level[u] = best
+                dirty.update(self.into[u])
+                kids = children.get(u)
+                if kids:
+                    queue.extend(kids)
 
     def path_to_sink(self, u: int) -> list[int]:
         """The tracked shortest path from ``u`` to the sink (inclusive)."""
@@ -154,8 +213,39 @@ class SinkDistanceTree:
             raise InvariantViolation("parent chain length disagrees with the level")
         return path
 
+    def validate_local(self) -> None:
+        """Check the Bellman condition on every node in ``dirty``, then clear it.
+
+        Between calls, the updates must start from a tree that equals a fresh
+        truncated BFS; see the module docstring for why passing then proves
+        the tree still equals one.
+        """
+        level, parent, children, out = self.level, self.parent, self.children, self.out
+        high, sink, deleted = self.high, self.sink, self.deleted
+        level_of = level.__getitem__
+        for v in self.dirty:
+            lv = level[v]
+            out_v = out[v]
+            below = min(map(level_of, out_v)) if out_v else high
+            p = parent[v]
+            if lv < high:
+                # The sink's children are not kept (see the class docstring).
+                good = lv == below + 1 and p in out_v and level[p] == below and (
+                    p == sink or v in children.get(p, ())
+                )
+            else:
+                good = below + 1 >= high and p is None and (
+                    v not in deleted or not (out_v or self.into[v] or v in children)
+                )
+            if not good:
+                raise InvariantViolation(
+                    f"node {v} breaks the Bellman condition: level {lv}, parent {p}, "
+                    f"lowest out-neighbour level {below}, removed {v in deleted}"
+                )
+        self.dirty.clear()
+
     def validate_against_bfs(self) -> None:
-        """Check every level and parent pointer against a fresh truncated BFS."""
+        """Check every level, parent pointer and child set against a fresh truncated BFS."""
         dist = {self.sink: 0}
         queue = deque([self.sink])
         while queue:
@@ -166,19 +256,28 @@ class SinkDistanceTree:
                 if u not in dist and u not in self.deleted:
                     dist[u] = dist[v] + 1
                     queue.append(u)
+        for v, kids in self.children.items():
+            for c in kids:
+                if self.parent[c] != v:
+                    raise InvariantViolation(f"node {c} is listed as a child of {v} but its parent differs")
         for v in range(self.node_count):
             if v == self.sink:
                 continue
             if v in self.deleted:
-                if self.level[v] != self.high:
-                    raise InvariantViolation(f"removed node {v} must sit at the HIGH level")
+                if self.level[v] != self.high or self.parent[v] is not None or self.out[v] or self.into[v]:
+                    raise InvariantViolation(f"removed node {v} must sit at the HIGH level with no arcs")
                 continue
             expected = dist.get(v, self.high)
             if self.level[v] != expected:
                 raise InvariantViolation(
                     f"node {v}: stored level {self.level[v]} but true distance is {expected}"
                 )
-            if self.level[v] <= self.depth_limit:
-                p = self.parent[v]
+            p = self.parent[v]
+            if self.level[v] > self.depth_limit:
+                if p is not None:
+                    raise InvariantViolation(f"node {v} at the HIGH level keeps parent {p}")
+            else:
                 if p is None or p not in self.out[v] or self.level[p] != self.level[v] - 1:
                     raise InvariantViolation(f"node {v} has an inconsistent parent pointer")
+                if p != self.sink and v not in self.children.get(p, ()):
+                    raise InvariantViolation(f"node {v} is missing from the children of its parent {p}")

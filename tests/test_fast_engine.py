@@ -50,6 +50,20 @@ def rebuild_arcs(engine: FastSapEngine) -> set[tuple[int, int]]:
     return arcs
 
 
+def count_calls(tree, names: tuple[str, ...]) -> dict[str, int]:
+    """Count calls to some methods of one tree instance, as the benchmark tracer hooks them."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        bound = getattr(tree, name)
+
+        def counted(*args, _name=name, _bound=bound):
+            counts[_name] += 1
+            return _bound(*args)
+
+        setattr(tree, name, counted)
+    return counts
+
+
 def current_arcs(engine: FastSapEngine) -> set[tuple[int, int]]:
     return {
         (u, v)
@@ -198,3 +212,50 @@ class TestEngineEquivalence:
         engine.step(0)
         with pytest.raises(ValueError):
             engine.step(2)
+
+    def test_arrival_past_the_end_changes_nothing(self):
+        inst = gen_random(4, 4, 2, seed=1)
+        engine = FastSapEngine(inst)
+        engine.run()
+
+        def snapshot():
+            state, tree = engine.state, engine.tree
+            return (list(state.server_of_client), [list(c) for c in state.clients_of_server],
+                    state.arrived_count, list(engine.log.records), current_arcs(engine),
+                    list(tree.level), list(tree.parent))
+
+        before = snapshot()
+        with pytest.raises(ValueError, match="beyond the instance"):
+            engine.step(inst.client_count)
+        assert snapshot() == before
+
+
+class TestValidationContract:
+    """Where the engine checks its sink tree: locally per arrival, by full BFS rarely."""
+
+    # 24 servers for 48 clients: at least half the arrivals fail, so steps
+    # insert, delete and prune (remove nodes).
+    INSTANCE = gen_random(24, 48, 2, seed=3)
+
+    def test_steps_check_locally_never_by_bfs(self):
+        engine = FastSapEngine(self.INSTANCE)
+        counts = count_calls(engine.tree, ("validate_against_bfs", "validate_local"))
+        for c in range(self.INSTANCE.client_count):
+            engine.step(c)
+        assert counts == {"validate_against_bfs": 0, "validate_local": self.INSTANCE.client_count}
+        assert engine.log.pruned_nodes > 0
+
+    def test_run_checks_by_bfs_once(self):
+        engine = FastSapEngine(self.INSTANCE)
+        counts = count_calls(engine.tree, ("validate_against_bfs",))
+        engine.run()
+        assert counts["validate_against_bfs"] == 1
+
+    def test_debug_checks_by_bfs_after_every_change(self):
+        engine = FastSapEngine(self.INSTANCE, debug=True)
+        changes = ("insert_arc", "delete_arc", "delete_node")
+        counts = count_calls(engine.tree, ("validate_against_bfs", *changes))
+        for c in range(self.INSTANCE.client_count):
+            engine.step(c)
+        assert all(counts[name] > 0 for name in changes)
+        assert counts["validate_against_bfs"] == sum(counts[name] for name in changes)

@@ -393,6 +393,12 @@ class TestCapacityGuard:
         with pytest.raises(TypeError):
             engine.state.capacity[0] = 2
 
+    @pytest.mark.parametrize("capacity", [(1,), [1], (1, 1, 1, 1)])
+    def test_capacity_vector_must_cover_every_server(self, capacity):
+        # A short vector used to pass construction and fail inside the search.
+        with pytest.raises(ValueError, match="capacity vector must cover every server"):
+            SapEngine(ArrivalInstance.build(3, [[2]]), capacity=capacity)
+
 
 @settings(max_examples=60, deadline=None)
 @given(small_instances(allow_isolated=True))

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
 from sapmatch import InvariantViolation, SinkDistanceTree
 
@@ -127,3 +131,111 @@ def test_path_to_sink_matches_level():
     assert path == [0, 1, 2, 4]
     with pytest.raises(ValueError):
         SinkDistanceTree(3, 2, 1, arcs=[(0, 1), (1, 2)]).path_to_sink(0)
+
+
+class TestLocalCheck:
+    def test_repair_that_skips_children_is_caught(self):
+        # 0 -> 1 -> sink and 0 -> 2 -> 3 -> sink: deleting 1's sink arc must
+        # lift 0 from level 2 to 3.  With the child sets hidden, the repair
+        # never reaches 0, but 0 is an in-neighbour of the risen node 1.
+        tree = SinkDistanceTree(5, 4, 4, arcs=[(0, 1), (1, 4), (0, 2), (2, 3), (3, 4)])
+        tree.children.clear()
+        tree.delete_arc(1, 4)
+        assert 0 in tree.dirty
+        with pytest.raises(InvariantViolation):
+            tree.validate_local()
+
+    def test_clean_tree_has_nothing_to_check(self):
+        tree = SinkDistanceTree(4, 3, 3, arcs=[(0, 1), (1, 3), (2, 3)])
+        tree.insert_arc(0, 2)  # same distance through 2: changes no condition
+        assert not tree.dirty
+        tree.delete_arc(0, 2)  # not 0's parent arc
+        assert not tree.dirty
+
+
+class SinkTreeMachine(RuleBasedStateMachine):
+    """Random updates within the no-shortening contract, checked after each one.
+
+    After every update, every node whose Bellman condition reads something
+    new (its level, parent, removal, or truncated best out-neighbour level)
+    must be marked dirty; the local check must pass, and so must the full
+    BFS check.  A copy with the level or the parent of one node the update
+    touched corrupted must fail both.
+    """
+
+    @initialize(data=st.data())
+    def build(self, data):
+        nodes = data.draw(st.integers(2, 9), label="nodes")
+        sink = data.draw(st.integers(0, nodes - 1), label="sink")
+        pairs = [(u, v) for u in range(nodes) for v in range(nodes) if u != v and u != sink]
+        arcs = data.draw(st.sets(st.sampled_from(pairs)), label="arcs")
+        self.tree = SinkDistanceTree(nodes, sink, data.draw(st.integers(1, 5), label="depth"), arcs)
+
+    def signatures(self) -> list[tuple]:
+        tree = self.tree
+        return [
+            (tree.level[v], tree.parent[v], v in tree.deleted,
+             min([tree.high] + [tree.level[w] + 1 for w in tree.out[v]]))
+            for v in range(tree.node_count)
+        ]
+
+    def live(self) -> list[int]:
+        return [v for v in range(self.tree.node_count) if v not in self.tree.deleted]
+
+    @rule(data=st.data())
+    def insert_arc(self, data):
+        tree, live = self.tree, self.live()
+        candidates = [
+            (u, v)
+            for u in live
+            if u != tree.sink
+            for v in live
+            if v != u and v not in tree.out[u] and tree.level[v] + 1 >= tree.level[u]
+        ]
+        before = self.signatures()
+        if candidates:
+            tree.insert_arc(*data.draw(st.sampled_from(candidates), label="insert"))
+        self.check(data, before)
+
+    @rule(data=st.data())
+    def delete_arc(self, data):
+        tree = self.tree
+        arcs = [(u, v) for u in range(tree.node_count) for v in sorted(tree.out[u])]
+        before = self.signatures()
+        if arcs:
+            tree.delete_arc(*data.draw(st.sampled_from(arcs), label="delete"))
+        self.check(data, before)
+
+    @rule(data=st.data())
+    def delete_node(self, data):
+        nodes = [v for v in self.live() if v != self.tree.sink]
+        before = self.signatures()
+        if nodes:
+            self.tree.delete_node(data.draw(st.sampled_from(nodes), label="remove"))
+        self.check(data, before)
+
+    def check(self, data, before):
+        tree = self.tree
+        changed = {v for v, (old, new) in enumerate(zip(before, self.signatures())) if old != new}
+        assert changed <= tree.dirty
+        if tree.dirty:
+            v = data.draw(st.sampled_from(sorted(tree.dirty)), label="corrupt")
+            broken = copy.deepcopy(tree)
+            if data.draw(st.booleans(), label="level"):
+                levels = st.integers(0, tree.high).filter(lambda x: x != tree.level[v])
+                broken.level[v] = data.draw(levels, label="new level")
+            else:
+                parents = st.sampled_from([None, *range(tree.node_count)])
+                parents = parents.filter(lambda p: p != tree.parent[v])
+                broken.parent[v] = data.draw(parents, label="new parent")
+            with pytest.raises(InvariantViolation):
+                broken.validate_local()
+            with pytest.raises(InvariantViolation):
+                broken.validate_against_bfs()
+        tree.validate_local()
+        assert not tree.dirty
+        tree.validate_against_bfs()
+
+
+TestSinkTreeMachine = SinkTreeMachine.TestCase
+TestSinkTreeMachine.settings = settings(max_examples=150, stateful_step_count=25, deadline=None)

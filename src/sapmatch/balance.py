@@ -4,7 +4,10 @@ Each client spreads one unit of demand over its neighbor servers; a spread is
 *balanced* when every client only uses its least-loaded neighbors.  The
 resulting per-server totals ("necessities") are unique for a given graph and
 are computed here exactly, as rationals, by repeatedly peeling off the client
-set that maximizes |K| / |N(K)|.
+set that maximizes |K| / |N(K)|.  Each maximum is found by a Dinkelbach
+iteration over max flows in a scaled integer demand network; the last flow
+of each search also supplies the peel's spread.  Neighbor lists must be
+nonempty and free of repeats.
 """
 
 from __future__ import annotations
@@ -72,6 +75,8 @@ def _check_adjacency(adjacency: Adjacency) -> None:
     for c, nbrs in adjacency.items():
         if len(nbrs) == 0:
             raise ValueError(f"client {c} has no neighbors; remove isolated clients first")
+        if len(set(nbrs)) != len(nbrs):
+            raise ValueError(f"client {c} lists a neighbor more than once")
 
 
 def _demand_network(adjacency: Adjacency, p: int, q: int):
@@ -110,48 +115,75 @@ def limit_feasible(adjacency: Adjacency, limit: Fraction) -> bool:
     return max_flow(net).value == limit.denominator * len(adjacency)
 
 
+def _neighborhood(adjacency: Adjacency, clients) -> set[int]:
+    hood: set[int] = set()
+    for c in clients:
+        hood.update(adjacency[c])
+    return hood
+
+
+def _densest(adjacency: Adjacency):
+    """Dinkelbach search for the largest client set K maximizing |K| / |N(K)|.
+
+    Let g(K) = q|K| - p|N(K)| in ``_demand_network(adjacency, p, q)``.  A
+    cut that crosses a client->server arc costs at least q|C|, as much as the
+    cut around the source; among the others, those with client set K are
+    cheapest with source side K + N(K), at q|C| - g(K).  So the flow
+    saturates every client iff g <= 0 everywhere, i.e. iff no ratio exceeds
+    lam = p/q.
+
+    Start at lam = |C| / |N(C)|.  While the flow does not saturate, the
+    client part K of the minimal min cut has g(K) > 0, so |K| / |N(K)| > lam
+    strictly; take it as the next lam.  For two consecutive unsaturated
+    rounds, optimality of each K at its own lam gives |N(K')| <= |N(K)|, and
+    equality would make g vanish at the new lam, i.e. saturate; so |N(K)|
+    strictly falls, and there are at most |N(C)| + 1 flows in all.  Once the
+    flow saturates, lam is the maximum ratio and every maximizer has g = 0.
+    g is supermodular (|N(.)| is submodular), so the maximizers are closed
+    under union, and the client part of the maximal min cut is the largest
+    one.
+
+    Returns lam, that set, the saturating flow and the network's
+    client->server arcs.  The set's clients have no neighbor outside N(K),
+    and N(K) can take only p|N(K)| = q|K| units, so in that flow K ships all
+    its demand into N(K) and nobody else ships anything there: restricted to
+    K, the flow is a spread of K with every server of N(K) at exactly lam.
+    """
+    lam = Fraction(len(adjacency), len(_neighborhood(adjacency, adjacency)))
+    while True:
+        net, cnode, _, middle = _demand_network(adjacency, lam.numerator, lam.denominator)
+        result = max_flow(net)
+        if result.value == lam.denominator * len(adjacency):
+            break
+        side = result.min_cut_source_side()
+        better = [c for c, node in cnode.items() if node in side]
+        if not better:
+            raise InvariantViolation("an unsaturated demand network left no client on the source side")
+        ratio = Fraction(len(better), len(_neighborhood(adjacency, better)))
+        if not ratio > lam:
+            raise InvariantViolation("the Dinkelbach ratio failed to increase")
+        lam = ratio
+    side = result.max_cut_source_side()
+    tight = frozenset(c for c, node in cnode.items() if node in side)
+    if not tight:
+        raise InvariantViolation("tight set extraction produced an empty set")
+    if Fraction(len(tight), len(_neighborhood(adjacency, tight))) != lam:
+        raise InvariantViolation("extracted set does not attain the maximal ratio")
+    return lam, tight, result, middle
+
+
 def max_ratio(adjacency: Adjacency) -> tuple[Fraction, frozenset[int]]:
     """The largest |K| / |N(K)| over nonempty client sets, and the largest K attaining it.
 
-    The ratio is located by walking the Stern-Brocot tree with the (monotone)
-    feasibility predicate; every candidate is a fraction with numerator at
-    most |C| and denominator at most |S|, so the walk pins it down exactly.
+    Found by a Dinkelbach iteration (Dinkelbach 1967) in exact ``Fraction``
+    arithmetic: each round runs one max flow at the current ratio and either
+    proves it maximal or moves to the strictly larger ratio of the minimal
+    min cut's clients.  At most |N(C)| + 1 flows; see ``_densest``.
     """
     _check_adjacency(adjacency)
     if not adjacency:
         raise ValueError("max_ratio needs at least one client")
-    client_count = len(adjacency)
-    server_count = len({s for nbrs in adjacency.values() for s in nbrs})
-
-    lo = (0, 1)  # below every feasible limit
-    hi = (1, 0)  # stands in for +infinity, always feasible
-    while True:
-        med = (lo[0] + hi[0], lo[1] + hi[1])
-        if med[0] > client_count or med[1] > server_count:
-            break
-        if limit_feasible(adjacency, Fraction(med[0], med[1])):
-            hi = med
-        else:
-            lo = med
-    if hi == (1, 0):
-        raise InvariantViolation("no feasible ratio found within the candidate bounds")
-    lam = Fraction(hi[0], hi[1])
-
-    # Probe just below lam: every maximizing client set now shows up on the
-    # source side of the largest min cut, and nothing else does (candidate
-    # ratios with denominator <= |S| are at least 1/|S|^2 apart, so this probe
-    # separates the maximizers from everything smaller).
-    probe = lam - Fraction(1, 2 * server_count * server_count * client_count)
-    net, cnode, _, _ = _demand_network(adjacency, probe.numerator, probe.denominator)
-    side = max_flow(net).max_cut_source_side()
-    tight = frozenset(c for c, node in cnode.items() if node in side)
-    if not tight:
-        raise InvariantViolation("tight set extraction produced an empty set")
-    hood = set()
-    for c in tight:
-        hood.update(adjacency[c])
-    if Fraction(len(tight), len(hood)) != lam:
-        raise InvariantViolation("extracted set does not attain the maximal ratio")
+    lam, tight, _, _ = _densest(adjacency)
     return lam, tight
 
 
@@ -159,9 +191,10 @@ def balanced_flow(adjacency: Adjacency, server_count: int | None = None) -> Bala
     """Compute the unique balanced spread by iterated peeling.
 
     Each round takes the largest client set maximizing |K| / |N(K)|, fixes
-    that ratio as the necessity of every server in N(K), recovers a realizing
-    integer flow inside the peel, removes K and N(K), and repeats.  Servers a
-    peel never touches end at necessity 0.
+    that ratio as the necessity of every server in N(K), reads a realizing
+    spread of K off the saturating flow that proved the ratio maximal,
+    removes K and N(K), and repeats.  The ratio searches are the only max
+    flows.  Servers a peel never touches end at necessity 0.
     """
     _check_adjacency(adjacency)
     remaining: dict[int, tuple[int, ...]] = {c: tuple(nbrs) for c, nbrs in adjacency.items()}
@@ -172,22 +205,15 @@ def balanced_flow(adjacency: Adjacency, server_count: int | None = None) -> Bala
     peels: list[Peel] = []
 
     while remaining:
-        lam, tight = max_ratio(remaining)
+        lam, tight, result, middle = _densest(remaining)
         if peels and not lam < peels[-1].ratio:
             raise InvariantViolation("peeling must produce strictly decreasing ratios")
-        peel_servers: set[int] = set()
-        for c in tight:
-            peel_servers.update(remaining[c])
-
-        sub = {c: remaining[c] for c in tight}
-        net, _, _, middle = _demand_network(sub, lam.numerator, lam.denominator)
-        result = max_flow(net)
-        if result.value != lam.denominator * len(tight):
-            raise InvariantViolation("peel flow failed to saturate its clients")
+        peel_servers = _neighborhood(remaining, tight)
         for (c, s), arc in middle.items():
-            units = result.arc_flow(arc)
-            if units:
-                edge_flow[(c, s)] = Fraction(units, lam.denominator)
+            if c in tight:
+                units = result.arc_flow(arc)
+                if units:
+                    edge_flow[(c, s)] = Fraction(units, lam.denominator)
 
         for s in peel_servers:
             necessity[s] = lam

@@ -2,11 +2,11 @@
 (1+eps)-approximate load-bounded assignment.
 
 Fixed capacities reduce to unit matching by giving each server one copy per
-capacity unit.  Min-max mode recomputes the optimal achievable maximum load
-after every arrival and either opens a new "epoch" (every server gains one
-slot) or augments to an underloaded server.  Semi-matching mode derives a
-per-server allowance from the exact balanced necessities and matches within
-those allowances.
+capacity unit.  Min-max mode keeps the maximum load optimal: an arrival with
+no augmenting path at the current optimum opens a new "epoch" (every server
+gains one slot), any other augments to an underloaded server.  Semi-matching
+mode derives a per-server allowance from the exact balanced necessities and
+matches within those allowances.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .balance import balanced_flow
+from .balance import _demand_network, balanced_flow
 from .errors import InvariantViolation
-from .flownet import FlowNetwork, max_flow
+from .flownet import max_flow
 from .instance import ArrivalInstance
 from .matching import AugPath, MatchState, RunLog, SapEngine
 
@@ -75,19 +75,8 @@ def _covers(adjacency: dict[int, tuple[int, ...]], per_server_cap: int) -> bool:
     """Can every listed client be assigned with all loads <= per_server_cap?"""
     if not adjacency:
         return True
-    clients = sorted(adjacency)
-    servers = sorted({s for nbrs in adjacency.values() for s in nbrs})
-    source, sink = 0, 1 + len(clients) + len(servers)
-    net = FlowNetwork(sink + 1, source, sink)
-    cnode = {c: 1 + i for i, c in enumerate(clients)}
-    snode = {s: 1 + len(clients) + j for j, s in enumerate(servers)}
-    for c in clients:
-        net.add_arc(source, cnode[c], 1)
-        for s in adjacency[c]:
-            net.add_arc(cnode[c], snode[s], 1)
-    for s in servers:
-        net.add_arc(snode[s], sink, per_server_cap)
-    return max_flow(net).value == len(clients)
+    net, _, _, _ = _demand_network(adjacency, per_server_cap, 1)
+    return max_flow(net).value == len(adjacency)
 
 
 def opt_load(instance: ArrivalInstance, prefix_len: int | None = None) -> int:
@@ -141,38 +130,30 @@ def run_capacitated(instance: ArrivalInstance) -> tuple[MatchState, RunLog]:
     return state, log
 
 
-def _next_opt(adjacency: dict[int, tuple[int, ...]], previous: int) -> int:
-    """Opt after one more arrival: it moves by at most one, so probe before searching."""
-    if not adjacency:
-        return 0
-    for candidate in (previous, previous + 1):
-        if candidate >= 1 and _covers(adjacency, candidate):
-            return candidate
-    lo, hi = 1, len(adjacency)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _covers(adjacency, mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 def run_minmax(instance: ArrivalInstance) -> tuple[MatchState, RunLog, list[EpochRecord]]:
     """Serve every servable client while keeping the maximum load optimal.
 
-    Per arrival: recompute the optimal load.  If it grew, every server gains
-    a slot (a new epoch) and the client goes straight to its smallest-index
-    neighbor; otherwise augment along a shortest path to an underloaded
-    server.  Clients with no neighbors are logged as unserved and excluded
-    from the optimum.
+    Per arrival: search for a shortest augmenting path with every server's
+    capacity at the current optimum.  Every earlier servable client is
+    already served within that optimum, so by Berge's theorem for
+    b-matchings the new client fits iff such a path exists; the search has
+    no side effects (on the shared capacity list the engine never prunes).
+    If a path exists, augment along it.  Otherwise the optimum grows by one:
+    every server gains a slot (a new epoch) and the client goes straight to
+    its smallest-index neighbor.  Clients with no neighbors are logged as
+    unserved and excluded from the optimum.
+
+    The maximum load is checked to equal the optimum after every arrival in
+    O(1): an augmentation raises only its end server's load, so by induction
+    it suffices that this server ends at most at the optimum, and exactly at
+    it when an epoch opens.  One full scan runs at the end.  ``opt_load``
+    is the independent flow-based reference for the optimum.
     """
     if instance.capacities is not None:
         raise ValueError("min-max mode expects an uncapacitated instance")
     caps = [0] * instance.server_count
     engine = SapEngine(instance, capacity=caps)
     epochs: list[EpochRecord] = []
-    adjacency: dict[int, tuple[int, ...]] = {}
     opt = 0
     for client in range(instance.client_count):
         engine.arrive(client)
@@ -180,26 +161,23 @@ def run_minmax(instance: ArrivalInstance) -> tuple[MatchState, RunLog, list[Epoc
         if not neighbors:
             engine.log.record(client, None)
             continue
-        adjacency[client] = neighbors
-        new_opt = _next_opt(adjacency, opt)
-        if new_opt > opt:
-            opt = new_opt
+        path = engine.shortest_aug_path(client)
+        grew = path is None
+        if grew:
+            opt += 1
             for s in range(instance.server_count):
                 caps[s] = opt
             epochs.append(EpochRecord(opt, client))
-            engine.augment(AugPath((client, neighbors[0])))
-            engine.log.record(client, 1)
-        else:
-            path = engine.shortest_aug_path(client)
-            if path is None:
-                raise InvariantViolation(
-                    f"no augmenting path for client {client} although opt did not grow"
-                )
-            engine.augment(path)
-            engine.log.record(client, path.edge_count)
-        max_load = max(engine.state.load(s) for s in range(instance.server_count))
-        if max_load != opt:
-            raise InvariantViolation(f"maximum load {max_load} differs from optimum {opt}")
+            path = AugPath((client, neighbors[0]))
+        engine.augment(path)
+        engine.log.record(client, path.edge_count)
+        end = path.vertices[-1]
+        load = engine.state.load(end)
+        if load > opt or (grew and load != opt):
+            raise InvariantViolation(f"server {end} ends at load {load} with optimum {opt}")
+    max_load = max((engine.state.load(s) for s in range(instance.server_count)), default=0)
+    if max_load != opt:
+        raise InvariantViolation(f"maximum load {max_load} differs from optimum {opt}")
     return engine.state, engine.log, epochs
 
 

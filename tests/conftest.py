@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import strategies as st
@@ -60,6 +61,22 @@ def small_instances(draw, max_clients: int = 8, max_servers: int = 8,
         )
         lists.append(sorted(neighbors))
     return ArrivalInstance.build(servers, lists)
+
+
+@pytest.fixture
+def flow_calls(monkeypatch) -> Counter:
+    """Max flows started through ``balance`` and ``extensions``, counted per module."""
+    import sapmatch.balance
+    import sapmatch.extensions
+
+    calls: Counter = Counter()
+    for module in (sapmatch.balance, sapmatch.extensions):
+        def counted(net, _name=module.__name__.rpartition(".")[2], _inner=module.max_flow):
+            calls[_name] += 1
+            return _inner(net)
+
+        monkeypatch.setattr(module, "max_flow", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -74,6 +74,58 @@ class TestMaxRatio:
             assert tight == want_tight
 
 
+class TestRepeatedNeighbors:
+    # A repeated neighbor used to collapse two client->server arcs into one
+    # entry of the demand network, so balanced_flow's edge_flow failed check().
+    ADJACENCY = {0: (0, 0), 1: (0, 1)}
+
+    @pytest.mark.parametrize(
+        "analysis",
+        [max_ratio, balanced_flow, lambda adjacency: limit_feasible(adjacency, Fraction(1))],
+        ids=["max_ratio", "balanced_flow", "limit_feasible"],
+    )
+    def test_rejected(self, analysis):
+        with pytest.raises(ValueError, match="more than once"):
+            analysis(self.ADJACENCY)
+
+
+class TestFlowCounts:
+    """Max flows counted by wrapping the module's binding; no clock involved."""
+
+    def test_clients_sharing_one_server_take_one_flow(self, flow_calls):
+        lam, tight = max_ratio({c: (0,) for c in range(800)})
+        assert lam == 800 and tight == frozenset(range(800))
+        assert flow_calls["balance"] == 1
+
+    def test_at_most_one_flow_per_server_plus_one(self, flow_calls):
+        larger = instance_corpus(40, seed=2024, max_clients=60, max_servers=40)
+        most = 0
+        for adjacency in adjacency_corpus(250, seed=41) + [i.prefix_adjacency() for i in larger]:
+            before = flow_calls["balance"]
+            max_ratio(adjacency)
+            used = flow_calls["balance"] - before
+            servers = {s for nbrs in adjacency.values() for s in nbrs}
+            assert 1 <= used <= len(servers) + 1
+            most = max(most, used)
+        assert most >= 3  # the iteration does run past its first improvement
+
+    def test_balanced_flow_runs_only_its_ratio_searches(self, flow_calls):
+        for adjacency in adjacency_corpus(120, seed=42, max_clients=10):
+            before = flow_calls["balance"]
+            flow = balanced_flow(adjacency)
+            used = flow_calls["balance"] - before
+            before = flow_calls["balance"]
+            remaining = dict(adjacency)
+            for peel in flow.peels:
+                max_ratio(remaining)
+                remaining = {
+                    c: tuple(s for s in nbrs if s not in peel.servers)
+                    for c, nbrs in remaining.items()
+                    if c not in peel.clients
+                }
+            assert used == flow_calls["balance"] - before
+
+
 class TestBalancedFlow:
     def test_complete_10x20_all_half(self):
         flow = balanced_flow(COMPLETE_10x20, server_count=20)

@@ -11,11 +11,15 @@ import pytest
 
 from sapmatch import (
     ArrivalInstance,
+    AugPath,
     CopyMap,
+    InvariantViolation,
+    MatchState,
     SapEngine,
     balanced_flow,
     gen_complete,
     gen_minmax_adversary,
+    gen_star_chain,
     hopcroft_karp_size,
     opt_load,
     run_capacitated,
@@ -203,21 +207,63 @@ class TestMinMax:
                 target = L // 2 + 2 * k
                 for b in range(L):
                     assert counts[b] == [target, 0]
+        assert log_bytes(replay.engine.log) == log_bytes(run_minmax(inst)[1])
+
+
+class TestMinMaxAgainstFlow:
+    """run_minmax decides epochs by search alone; opt_load is the flow reference."""
+
+    CASES = (
+        instance_corpus(12, seed=93, max_clients=30, max_servers=6)
+        + [gen_minmax_adversary(4), gen_minmax_adversary(8)]
+        + [gen_star_chain(depth) for depth in range(1, 7)]
+    )
+
+    def test_running_opt_equals_opt_load_at_every_prefix(self):
+        for inst in self.CASES:
+            _, _, epochs = run_minmax(inst)
+            assert [e.opt for e in epochs] == list(range(1, len(epochs) + 1))
+            for t in range(inst.client_count + 1):
+                running = max((e.opt for e in epochs if e.start_arrival < t), default=0)
+                assert running == opt_load(inst, t)
+
+    def test_no_max_flow(self, flow_calls):
+        for inst in self.CASES:
+            run_minmax(inst)
+        assert sum(flow_calls.values()) == 0
+
+    def test_overload_is_caught(self, monkeypatch):
+        # A capacity test off by one lets a search end at a full server.
+        monkeypatch.setattr(
+            MatchState, "is_free", lambda self, s: self.load(s) <= self.capacity[s]
+        )
+        with pytest.raises(InvariantViolation, match="ends at load 1 with optimum 0"):
+            run_minmax(gen_minmax_adversary(4))
+
+    def test_needless_epoch_is_caught(self, monkeypatch):
+        # Client 1 could go to server 1; a search that misses it opens an
+        # epoch on server 0, which then sits below the new optimum.
+        search = SapEngine.shortest_aug_path
+        monkeypatch.setattr(
+            SapEngine,
+            "shortest_aug_path",
+            lambda self, client: None if client == 1 else search(self, client),
+        )
+        with pytest.raises(InvariantViolation, match="ends at load 1 with optimum 2"):
+            run_minmax(ArrivalInstance.build(2, [[1], [0, 1]]))
 
 
 class _MinmaxReplay:
-    """Step-by-step variant of run_minmax for boundary inspection."""
+    """Step-by-step variant of run_minmax for boundary inspection.
+
+    Same rule: augment at the current optimum if a path exists, otherwise
+    open an epoch and place the client on its smallest-index neighbor.
+    """
 
     def __init__(self, instance: ArrivalInstance):
-        from sapmatch.extensions import _next_opt
-        from sapmatch.matching import AugPath
-
-        self._next_opt = _next_opt
-        self._AugPath = AugPath
         self.instance = instance
         self.caps = [0] * instance.server_count
         self.engine = SapEngine(instance, capacity=self.caps)
-        self.adjacency: dict[int, tuple[int, ...]] = {}
         self.opt = 0
 
     @property
@@ -230,18 +276,14 @@ class _MinmaxReplay:
         if not neighbors:
             self.engine.log.record(client, None)
             return
-        self.adjacency[client] = neighbors
-        new_opt = self._next_opt(self.adjacency, self.opt)
-        if new_opt > self.opt:
-            self.opt = new_opt
+        path = self.engine.shortest_aug_path(client)
+        if path is None:
+            self.opt += 1
             for s in range(self.instance.server_count):
-                self.caps[s] = new_opt
-            self.engine.augment(self._AugPath((client, neighbors[0])))
-            self.engine.log.record(client, 1)
-        else:
-            path = self.engine.shortest_aug_path(client)
-            self.engine.augment(path)
-            self.engine.log.record(client, path.edge_count)
+                self.caps[s] = self.opt
+            path = AugPath((client, neighbors[0]))
+        self.engine.augment(path)
+        self.engine.log.record(client, path.edge_count)
 
 
 class TestEpochWarmStart:

@@ -9,11 +9,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from bisect import bisect_left
 from fractions import Fraction
 
 from .balance import balanced_flow
 from .errors import InvariantViolation
-from .extensions import opt_load, run_capacitated, run_minmax, run_semi_matching
+from .extensions import run_capacitated, run_minmax, run_semi_matching
 from .fast_engine import run_fast_sap
 from .generators import GenSpec, gen_random
 from .instance import ArrivalInstance
@@ -57,6 +58,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _analysis_columns(instance: ArrivalInstance) -> list[tuple[Fraction, int]]:
+    """(maximum necessity, optimal maximum load) after every arrival.
+
+    The optimum is read off one min-max pass: it is the number of epochs
+    opened so far.  Capacities play no part in either column.
+    """
+    _, _, epochs = run_minmax(ArrivalInstance(instance.server_count, instance.arrivals))
+    starts = [epoch.start_arrival for epoch in epochs]
     columns = []
     for t in range(1, instance.client_count + 1):
         adjacency = instance.prefix_adjacency(t)
@@ -64,7 +72,7 @@ def _analysis_columns(instance: ArrivalInstance) -> list[tuple[Fraction, int]]:
             alpha = balanced_flow(adjacency).max_necessity()
         else:
             alpha = Fraction(0)
-        columns.append((alpha, opt_load(instance, t)))
+        columns.append((alpha, bisect_left(starts, t)))
     return columns
 
 

@@ -3,10 +3,41 @@
 Supports arc deletions freely, arc insertions under the caller's guarantee
 that no insertion shortens any distance, and whole-node removal.  Distances
 are maintained exactly up to ``depth_limit``; anything further is collapsed
-into a single HIGH level.  Deletion repair is the usual scan-and-raise of an
-Even-Shiloach tree (Even-Shiloach 1981): a node whose supporting arc
-disappears rescans its out-arcs and, if its level rose, its children in the
-tree (kept as explicit sets) rescan in turn.
+into a single HIGH level.
+
+Deletion repair runs in two stages.
+
+Stage 1 is the scan-and-raise of an Even-Shiloach tree (Even-Shiloach
+1981): a node whose supporting arc disappears rescans its out-arcs and, if
+its level rose, its children in the tree (kept as explicit sets) rescan in
+turn.  Most repairs end here after a scan or two.  But a level rises by at
+most one per scan, so a component cut off from the sink would climb to HIGH
+a level at a time, rescanning itself on every step.
+
+The switch is a ski-rental rule with no knob: once a repair has made as many
+rescans as first scans, it hands every node still queued to stage 2.  So
+stage 1 costs at most twice the scans of the nodes it touched.
+
+Stage 2 (``_settle``) is the one-pass dynamic shortest-path repair of
+Ramalingam-Reps (1996).  Between two stage-1 scans every node that is not
+queued meets its Bellman condition (below), every level is at most the
+node's true distance, and no arc drops more than one level.  So, taking
+candidates in increasing level, starting from the queued nodes:
+
+- a candidate at level ``k`` keeps its level iff some out-neighbour at level
+  ``k - 1`` is unaffected, and then re-parents to the smallest such index;
+  otherwise it is *affected*, its true distance is larger, and its children
+  become candidates at ``k + 1``.  A node that never becomes a candidate has
+  an unaffected parent one level lower, so its level is already exact.
+- each affected node gets a first bound from its arcs that leave the set;
+  a bucket queue over the levels up to ``high`` settles the set, relaxing
+  along in-arcs inside it and keeping the (level, index) argmin as parent.
+
+Stage 2 scans the out-arcs of each candidate once, and those of each
+affected node once more along with its in-arcs, however far it rises.  The
+nodes whose parent stage 2 rewrites are exactly those stage 1 would have
+rescanned had it gone on, and each gets the parent such a scan would give,
+so both stages end in the same tree.
 
 Local validation.  Call a node's *Bellman condition* the statement that its
 level is ``min(high, 1 + min level over its out-neighbours)`` and, below
@@ -21,8 +52,9 @@ it only at
 
 - the nodes ``_repair`` starts from (their parent arc went away);
 - the in-neighbours of every node whose level rose (this covers every node
-  whose parent ``_repair`` rewrote, since it rescans only seeds and children
-  of risen nodes);
+  whose parent a repair rewrote: stage 1 rescans only seeds and children of
+  risen nodes, stage 2 rewrites only queued nodes, which are such nodes,
+  and children of affected nodes, and every affected node rises);
 - a removed node and its in-neighbours.
 
 An insertion breaks no condition, because ``insert_arc`` rejects every arc
@@ -30,7 +62,7 @@ that would shorten a distance.  The tree records exactly these nodes in
 ``dirty``; ``validate_local`` checks them and clears the set.  If the tree
 equalled a fresh BFS before, it equals one after, at a cost in proportion to
 the update instead of the graph.  The set is filled by what changed, not by
-what ``_repair`` chose to rescan, so a repair that skips nodes is caught.
+what a repair chose to rescan, so a repair that skips nodes is caught.
 """
 
 from __future__ import annotations
@@ -84,6 +116,8 @@ class SinkDistanceTree:
         self._init_levels()
         # Nodes whose Bellman condition may have changed since validate_local.
         self.dirty: set[int] = set()
+        # Times a repair has scanned a node's out-arcs, over the tree's life.
+        self.repair_scans = 0
 
     def _check_endpoints(self, u: int, v: int) -> None:
         if not (0 <= u < self.node_count and 0 <= v < self.node_count) or u == v:
@@ -163,9 +197,17 @@ class SinkDistanceTree:
         level, parent, children, out, dirty = self.level, self.parent, self.children, self.out, self.dirty
         high = self.high
         dirty.update(seeds)
-        queue = deque(seeds)
-        while queue:
-            u = queue.popleft()
+        # queue[:i] are the scans made so far, queue[i:] the ones to come.
+        queue = list(seeds)
+        i = 0
+        # The switch comes once i scans have visited at most i / 2 distinct
+        # nodes.  With d nodes seen so far that cannot happen before scan
+        # 2 * d, so the nodes seen are counted only then.
+        check_at = 2
+        seen: set[int] | None = None
+        while i < len(queue):
+            u = queue[i]
+            i += 1
             # Seeds and children are live non-sink nodes, so out[u] is intact.
             # best starts above every candidate: the first arc sets support.
             best = high + 2
@@ -196,6 +238,112 @@ class SinkDistanceTree:
                 kids = children.get(u)
                 if kids:
                     queue.extend(kids)
+            if i == check_at and i < len(queue):
+                if seen is None:
+                    seen = set(queue[:i])
+                else:
+                    seen.update(queue[last:i])
+                last = i
+                if i >= 2 * len(seen):
+                    # As many rescans as first scans: settle the rest in one pass.
+                    self.repair_scans += i
+                    self._settle(queue[i:])
+                    return
+                check_at = 2 * len(seen)
+        self.repair_scans += i
+
+    def _settle(self, queued: Iterable[int]) -> None:
+        """Give every node ``_repair`` left queued, and all it supports, its final level.
+
+        Called mid-repair: every node that is not queued meets its Bellman
+        condition, every level is at most the node's true distance, and no
+        arc drops more than one level.
+        """
+        level, parent, children, out, into, dirty = (
+            self.level, self.parent, self.children, self.out, self.into, self.dirty
+        )
+        high = self.high
+        scans = 0
+        # (a) The affected set, in increasing level: a candidate at level k is
+        # affected iff no unaffected out-neighbour sits at level k - 1.
+        buckets: list[list[int]] = [[] for _ in range(high + 1)]
+        candidates: set[int] = set()
+        for u in queued:
+            if u not in candidates and level[u] < high:
+                candidates.add(u)
+                buckets[level[u]].append(u)
+        # Final level and parent of each candidate: (a) fills in the
+        # unaffected ones, (b) the affected ones.
+        dist: dict[int, int] = {}
+        via: dict[int, int | None] = {}
+        affected: set[int] = set()
+        for k in range(1, high):
+            for u in buckets[k]:
+                scans += 1
+                support = None
+                for w in out[u]:
+                    if level[w] == k - 1 and w not in affected and (support is None or w < support):
+                        support = w
+                if support is None:
+                    affected.add(u)
+                    kids = children.get(u)
+                    if kids:
+                        for c in kids:
+                            if c not in candidates:
+                                candidates.add(c)
+                                buckets[k + 1].append(c)
+                else:
+                    dist[u] = k
+                    via[u] = support
+        # (b) First bounds from the arcs that leave the set, then a bucket
+        # queue that relaxes along in-arcs inside it.  (level, index) order
+        # picks the parent, as a scan does.
+        buckets = [[] for _ in range(high + 1)]
+        for u in affected:
+            scans += 1
+            best, support = high, None
+            for w in out[u]:
+                if w not in affected:
+                    candidate = level[w] + 1
+                    if candidate < best or (candidate == best and support is not None and w < support):
+                        best, support = candidate, w
+            dist[u] = best
+            via[u] = support
+            buckets[best].append(u)
+        for k in range(1, high - 1):
+            for u in buckets[k]:
+                if dist[u] != k:
+                    continue
+                for x in into[u]:
+                    if x in affected:
+                        d = dist[x]
+                        if k + 1 < d:
+                            dist[x] = k + 1
+                            via[x] = u
+                            buckets[k + 1].append(x)
+                        elif k + 1 == d and u < via[x]:
+                            via[x] = u
+        # (c) Write the result back, marking the in-neighbours of every node
+        # that rose as stage 1 does; every affected node rises.
+        for u, best in dist.items():
+            support = via[u]
+            current = level[u]
+            if best < current:
+                raise InvariantViolation(f"level of node {u} tried to decrease")
+            old = parent[u]
+            if support != old:
+                if old is not None:
+                    kids = children[old]
+                    kids.discard(u)
+                    if not kids:
+                        del children[old]
+                if support is not None:
+                    children[support].add(u)
+                parent[u] = support
+            if best > current:
+                level[u] = best
+                dirty.update(into[u])
+        self.repair_scans += scans
 
     def path_to_sink(self, u: int) -> list[int]:
         """The tracked shortest path from ``u`` to the sink (inclusive)."""

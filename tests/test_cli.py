@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import csv
 import io
+import random
 from contextlib import redirect_stderr, redirect_stdout
 
-from sapmatch.cli import main
+from sapmatch import ArrivalInstance, gen_minmax_adversary, opt_load
+from sapmatch.cli import _analysis_columns, main
+from sapmatch.textio import format_instance
+from conftest import random_instance
 
 
 def run_cli(*argv: str) -> tuple[int, str, str]:
@@ -94,6 +98,25 @@ class TestRun:
             "1/8", "1/4", "3/8", "1/2"
         ]
         assert rows[-1]["opt_load"] == "1"
+
+    def test_analyze_opt_column_starts_no_flow(self, tmp_path, flow_calls):
+        rng = random.Random(5)
+        instances = [random_instance(rng, 30, 12, min_degree=0) for _ in range(12)]
+        instances.append(gen_minmax_adversary(8))
+        base = instances[0]
+        instances.append(ArrivalInstance(base.server_count, base.arrivals, (2,) * base.server_count))
+        for instance in instances:
+            flow_calls.clear()
+            opts = [opt for _, opt in _analysis_columns(instance)]
+            assert flow_calls["extensions"] == 0
+            assert opts == [opt_load(instance, t) for t in range(1, instance.client_count + 1)]
+        inst_file = tmp_path / "cap.txt"
+        inst_file.write_text(format_instance(instances[-1]))
+        flow_calls.clear()
+        code, _, _ = run_cli("run", str(inst_file), "--engine", "capacitated", "--analyze",
+                             "--csv", str(tmp_path / "cap.csv"))
+        assert code == 0
+        assert flow_calls["extensions"] == 0 and flow_calls["balance"] > 0
 
     def test_flag_engine_mismatch_exit_2(self, tmp_path):
         inst_file = tmp_path / "inst.txt"

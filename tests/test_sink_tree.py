@@ -4,13 +4,67 @@ from __future__ import annotations
 
 import copy
 import random
+from collections import deque
 
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
-from sapmatch import InvariantViolation, SinkDistanceTree
+import sapmatch.fast_engine
+from sapmatch import (
+    FastSapEngine,
+    InvariantViolation,
+    SinkDistanceTree,
+    gen_minmax_adversary,
+    gen_random,
+    gen_star_chain,
+)
+
+
+class ScanAndRaiseTree(SinkDistanceTree):
+    """The reference repair: Even-Shiloach scan-and-raise until nothing changes.
+
+    Every node climbs one level per scan, however far it has to go.  Written
+    out in full so that it shares no code with the repair under test.
+    """
+
+    def _repair(self, seeds):
+        level, parent, children, out, dirty = self.level, self.parent, self.children, self.out, self.dirty
+        high = self.high
+        dirty.update(seeds)
+        queue = deque(seeds)
+        while queue:
+            u = queue.popleft()
+            self.repair_scans += 1
+            best = high + 2
+            support = None
+            for w in out[u]:
+                candidate = level[w] + 1
+                if candidate < best or (candidate == best and w < support):
+                    best = candidate
+                    support = w
+            if best >= high:
+                best, support = high, None
+            current = level[u]
+            if best < current:
+                raise InvariantViolation(f"level of node {u} tried to decrease")
+            old = parent[u]
+            if support != old:
+                if old is not None:
+                    kids = children[old]
+                    kids.discard(u)
+                    if not kids:
+                        del children[old]
+                if support is not None:
+                    children[support].add(u)
+                parent[u] = support
+            if best > current:
+                level[u] = best
+                dirty.update(self.into[u])
+                kids = children.get(u)
+                if kids:
+                    queue.extend(kids)
 
 
 def build_random_digraph(rng: random.Random, nodes: int, sink: int, density: float):
@@ -163,13 +217,20 @@ class SinkTreeMachine(RuleBasedStateMachine):
     touched corrupted must fail both.
     """
 
+    max_nodes = 9
+    max_depth = 5
+
     @initialize(data=st.data())
     def build(self, data):
-        nodes = data.draw(st.integers(2, 9), label="nodes")
+        nodes = data.draw(st.integers(2, self.max_nodes), label="nodes")
         sink = data.draw(st.integers(0, nodes - 1), label="sink")
         pairs = [(u, v) for u in range(nodes) for v in range(nodes) if u != v and u != sink]
         arcs = data.draw(st.sets(st.sampled_from(pairs)), label="arcs")
-        self.tree = SinkDistanceTree(nodes, sink, data.draw(st.integers(1, 5), label="depth"), arcs)
+        depth = data.draw(st.integers(1, self.max_depth), label="depth")
+        self.tree = SinkDistanceTree(nodes, sink, depth, arcs)
+
+    def apply(self, op: str, *args) -> None:
+        getattr(self.tree, op)(*args)
 
     def signatures(self) -> list[tuple]:
         tree = self.tree
@@ -194,7 +255,7 @@ class SinkTreeMachine(RuleBasedStateMachine):
         ]
         before = self.signatures()
         if candidates:
-            tree.insert_arc(*data.draw(st.sampled_from(candidates), label="insert"))
+            self.apply("insert_arc", *data.draw(st.sampled_from(candidates), label="insert"))
         self.check(data, before)
 
     @rule(data=st.data())
@@ -203,7 +264,7 @@ class SinkTreeMachine(RuleBasedStateMachine):
         arcs = [(u, v) for u in range(tree.node_count) for v in sorted(tree.out[u])]
         before = self.signatures()
         if arcs:
-            tree.delete_arc(*data.draw(st.sampled_from(arcs), label="delete"))
+            self.apply("delete_arc", *data.draw(st.sampled_from(arcs), label="delete"))
         self.check(data, before)
 
     @rule(data=st.data())
@@ -211,7 +272,7 @@ class SinkTreeMachine(RuleBasedStateMachine):
         nodes = [v for v in self.live() if v != self.tree.sink]
         before = self.signatures()
         if nodes:
-            self.tree.delete_node(data.draw(st.sampled_from(nodes), label="remove"))
+            self.apply("delete_node", data.draw(st.sampled_from(nodes), label="remove"))
         self.check(data, before)
 
     def check(self, data, before):
@@ -239,3 +300,194 @@ class SinkTreeMachine(RuleBasedStateMachine):
 
 TestSinkTreeMachine = SinkTreeMachine.TestCase
 TestSinkTreeMachine.settings = settings(max_examples=150, stateful_step_count=25, deadline=None)
+
+
+class SettleOnlyTree(SinkDistanceTree):
+    """Sends every repair straight to the one-pass settle.
+
+    A repair's seeds meet its preconditions, so this tests the settle on
+    every update rather than on the few that switch to it.
+    """
+
+    def _repair(self, seeds):
+        self.dirty.update(seeds)
+        self._settle(seeds)
+
+
+class TwinTreeMachine(SinkTreeMachine):
+    """The machine above, shadowed by the reference repair and by a settle-only tree.
+
+    After every update all three agree on levels, parents, children and
+    marked nodes.  Deeper limits, larger graphs and a rule that always
+    deletes a parent arc give repairs room to climb.  At these sizes a repair
+    seldom gets far enough to switch to its settle, so it is the settle-only
+    tree that tests the settle here.
+    """
+
+    max_nodes = 12
+    max_depth = 9
+
+    @initialize(data=st.data())
+    def build(self, data):
+        super().build(data)
+        tree = self.tree
+        arcs = [(u, v) for u in range(tree.node_count) for v in tree.out[u]]
+        self.reference = ScanAndRaiseTree(tree.node_count, tree.sink, tree.depth_limit, arcs)
+        self.settle_only = SettleOnlyTree(tree.node_count, tree.sink, tree.depth_limit, arcs)
+
+    def apply(self, op: str, *args) -> None:
+        super().apply(op, *args)
+        getattr(self.reference, op)(*args)
+        getattr(self.settle_only, op)(*args)
+
+    @rule(data=st.data())
+    def delete_parent_arc(self, data):
+        tree = self.tree
+        arcs = [(u, tree.parent[u]) for u in range(tree.node_count) if tree.parent[u] is not None]
+        before = self.signatures()
+        if arcs:
+            self.apply("delete_arc", *data.draw(st.sampled_from(arcs), label="delete parent arc"))
+        self.check(data, before)
+
+    def check(self, data, before):
+        reference = self.reference
+        for tree in (self.tree, self.settle_only):
+            assert tree.level == reference.level
+            assert tree.parent == reference.parent
+            assert dict(tree.children) == dict(reference.children)
+            assert tree.dirty == reference.dirty
+        assert self.tree.repair_scans <= 2 * reference.repair_scans
+        reference.validate_local()
+        self.settle_only.validate_local()
+        super().check(data, before)
+
+
+TestTwinTreeMachine = TwinTreeMachine.TestCase
+TestTwinTreeMachine.settings = settings(max_examples=150, stateful_step_count=25, deadline=None)
+
+
+SINK = 11
+# The cycle 0 <-> 1 hangs off the sink by the arc 0 -> sink.  Nodes 2 and 3
+# point into it and also into the chain 4..10, where node 4 + i - 1 sits at
+# level i: node 3 has a way out at level 6, node 2 one at level 8.
+CYCLE_WITH_EXITS = [(0, 1), (1, 0), (0, SINK), (2, 0), (2, 10), (3, 0), (3, 8), (4, SINK)] + [
+    (v, v - 1) for v in range(5, 11)
+]
+
+
+@pytest.mark.parametrize(
+    "arcs, settled, parents, scans",
+    [
+        # 0 -> 1 -> 2 -> 0 alone.  Stage 1 scans 0, 2 and 1 for the first
+        # time and then once more, which leaves 0 queued.  The settle scans
+        # the candidates 0, 2 and 1, and then each once more as affected.
+        ([(0, 1), (1, 2), (2, 0), (0, SINK)], [None] * 3, [None] * 3, 6 + 3 + 3),
+        # Stage 1 scans 0, 1, 2 and 3 for the first time and then once more,
+        # which leaves 0 queued.  The settle scans the candidates 0, 1, 2 and
+        # 3, then the affected 0, 1 and 2 once more.  Node 3 keeps the level
+        # it reached in stage 1 under a new parent; node 2 settles between.
+        (CYCLE_WITH_EXITS, [None, None, 8, 6], [None, None, 10, 8], 8 + 4 + 3),
+    ],
+)
+def test_cut_off_cycle_settles_in_one_pass(arcs, settled, parents, scans):
+    reference_scans = []
+    for limit in (20, 200):
+        tree = SinkDistanceTree(12, SINK, limit, arcs)
+        reference = ScanAndRaiseTree(12, SINK, limit, arcs)
+        for t in (tree, reference):
+            t.delete_arc(0, SINK)
+        high = tree.high
+        assert tree.level[: len(settled)] == [high if v is None else v for v in settled]
+        assert tree.parent[: len(parents)] == parents
+        tree.validate_against_bfs()
+        assert tree.level == reference.level and tree.parent == reference.parent
+        assert dict(tree.children) == dict(reference.children)
+        assert tree.dirty == reference.dirty
+        tree.validate_local()
+        # However far the cycle has to climb, the repair costs the same.
+        assert tree.repair_scans == scans
+        reference_scans.append(reference.repair_scans)
+    # The reference climbs a level per scan.
+    assert scans < 20 <= reference_scans[0] and 200 <= reference_scans[1]
+
+
+@pytest.mark.parametrize("tree_type", [SinkDistanceTree, SettleOnlyTree])
+def test_random_updates_match_reference(tree_type):
+    """Random contract-respecting updates on sparse digraphs, checked after each one.
+
+    Half the insertions add an arc one level down, so that parents are not
+    always the smallest-index choice a fresh scan would make.
+    """
+    rng = random.Random(29)
+    for _ in range(300):
+        nodes = rng.randint(6, 40)
+        sink = nodes - 1
+        arcs = {
+            (u, rng.randrange(nodes - 1) if rng.random() < 0.9 else sink)
+            for u in range(nodes - 1)
+            for _ in range(rng.randint(1, 3))
+        }
+        arcs = {(u, v) for u, v in arcs if u != v}
+        limit = rng.randint(3, 25)
+        tree = tree_type(nodes, sink, limit, arcs)
+        reference = ScanAndRaiseTree(nodes, sink, limit, arcs)
+        for _ in range(3 * nodes):
+            live = [v for v in range(nodes) if v not in tree.deleted]
+            draw = rng.random()
+            if draw < 0.1 and len(live) > 1:
+                update = ("delete_node", rng.choice([v for v in live if v != sink]))
+            elif draw < 0.6:
+                present = [(u, v) for u in live for v in sorted(tree.out[u])]
+                if not present:
+                    continue
+                update = ("delete_arc", *rng.choice(present))
+            else:
+                u, v = rng.choice(live), rng.choice(live)
+                if rng.random() < 0.5:
+                    v = rng.choice([w for w in live if tree.level[w] + 1 == tree.level[u]] or [v])
+                if u == sink or u == v or v in tree.out[u] or tree.level[v] + 1 < tree.level[u]:
+                    continue
+                update = ("insert_arc", u, v)
+            for t in (tree, reference):
+                getattr(t, update[0])(*update[1:])
+            assert tree.level == reference.level, update
+            assert tree.parent == reference.parent, update
+            assert dict(tree.children) == dict(reference.children), update
+            assert tree.dirty == reference.dirty, update
+            tree.validate_local()
+            reference.validate_local()
+        tree.validate_against_bfs()
+
+
+class TestEngineWithReferenceRepair:
+    """The fast engine gives the same run with either repair."""
+
+    @staticmethod
+    def run_both(monkeypatch, instance):
+        engine = FastSapEngine(instance)
+        engine.run()
+        with monkeypatch.context() as patch:
+            patch.setattr(sapmatch.fast_engine, "SinkDistanceTree", ScanAndRaiseTree)
+            reference = FastSapEngine(instance)
+            reference.run()
+        assert type(reference.tree) is ScanAndRaiseTree
+        assert engine.log.records == reference.log.records
+        assert engine.state.server_of_client == reference.state.server_of_client
+        assert engine.prune_events == reference.prune_events
+        for counter in ("tree_paths", "brute_paths", "brute_failures", "pruned_nodes"):
+            assert getattr(engine.log, counter) == getattr(reference.log, counter)
+        assert engine.tree.level == reference.tree.level
+        assert engine.tree.parent == reference.tree.parent
+        return engine.tree.repair_scans, reference.tree.repair_scans
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_overloaded_random(self, monkeypatch, seed):
+        scans, reference_scans = self.run_both(monkeypatch, gen_random(640, 1024, 3, seed))
+        assert scans < reference_scans
+
+    def test_star_chain_never_rescans(self, monkeypatch):
+        scans, reference_scans = self.run_both(monkeypatch, gen_star_chain(30))
+        assert scans == reference_scans
+
+    def test_minmax_adversary(self, monkeypatch):
+        self.run_both(monkeypatch, gen_minmax_adversary(16))

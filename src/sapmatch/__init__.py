@@ -18,7 +18,6 @@ from .balance import (
 )
 from .errors import InvariantViolation
 from .extensions import (
-    CopyMap,
     EpochRecord,
     LoadProfile,
     load_profile,
@@ -48,6 +47,7 @@ from .matching import (
     run_sap,
 )
 from .oracles import (
+    CopyMap,
     brute_max_ratio,
     hopcroft_karp_size,
     oracle_balanced_flow,

@@ -1,21 +1,23 @@
 """Beyond unit matching: fixed server capacities, exact min-max load, and
 (1+eps)-approximate load-bounded assignment.
 
-Fixed capacities reduce to unit matching by giving each server one copy per
-capacity unit.  Min-max mode keeps the maximum load optimal: an arrival with
-no augmenting path at the current optimum opens a new "epoch" (every server
-gains one slot), any other augments to an underloaded server.  Semi-matching
-mode derives a per-server allowance from the exact balanced necessities and
+Fixed capacities run natively: the engine searches the original servers and
+a server is free while its load is under its capacity.  The paper's
+reduction, one server copy per capacity unit, gives the same run log and
+assignment; it stays only as a test reference (``CopyMap`` in ``oracles``).
+
+Min-max mode keeps the maximum load optimal: an arrival with no augmenting
+path at the current optimum opens a new "epoch" (every server gains one
+slot), any other augments to an underloaded server.  Semi-matching mode
+derives a per-server allowance from the exact balanced necessities and
 matches within those allowances.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .balance import _demand_network, balanced_flow
 from .errors import InvariantViolation
@@ -35,40 +37,6 @@ class LoadProfile:
 class EpochRecord:
     opt: int
     start_arrival: int
-
-
-class CopyMap:
-    """Contiguous block of copy indices per original server."""
-
-    def __init__(self, sizes: Sequence[int]):
-        if any(u < 1 for u in sizes):
-            raise ValueError("every server needs at least one copy")
-        self.sizes = tuple(sizes)
-        self.starts = [0]
-        for u in self.sizes:
-            self.starts.append(self.starts[-1] + u)
-
-    @property
-    def total_copies(self) -> int:
-        return self.starts[-1]
-
-    def range_of(self, server: int) -> range:
-        return range(self.starts[server], self.starts[server + 1])
-
-    def original(self, copy: int) -> int:
-        if not 0 <= copy < self.total_copies:
-            raise ValueError("copy index out of range")
-        return bisect_right(self.starts, copy) - 1
-
-
-def _copy_instance(instance: ArrivalInstance, copies: CopyMap) -> ArrivalInstance:
-    arrivals = []
-    for client_id, neighbors in instance.arrivals:
-        expanded = []
-        for s in neighbors:
-            expanded.extend(copies.range_of(s))
-        arrivals.append((client_id, tuple(expanded)))
-    return ArrivalInstance(copies.total_copies, tuple(arrivals))
 
 
 def _covers(adjacency: dict[int, tuple[int, ...]], per_server_cap: int) -> bool:
@@ -104,28 +72,17 @@ def load_profile(state: MatchState, opt: int) -> LoadProfile:
 
 
 def run_capacitated(instance: ArrivalInstance) -> tuple[MatchState, RunLog]:
-    """Drive the unit-capacity protocol over the server-copy expansion.
+    """Run the reference engine on the instance's own server capacities.
 
-    Copy blocks are laid out in server order, so the copy-level tie-breaking
-    is "original server index first, then copy index", and with capacities
-    all 1 the expansion is the identity and the run log matches the plain
-    engine's exactly.  Replacement counts are unchanged by the expansion.
+    The search visits each original server once, not once per capacity
+    unit.  Run log and assignment equal those of the unit-capacity protocol
+    over the server-copy expansion with copy blocks in server order; the
+    tests keep that expansion as the reference.  Capacities are fixed, so
+    dead-server pruning applies.
     """
     if instance.capacities is None:
         raise ValueError("run_capacitated expects an instance with capacities")
-    copies = CopyMap(instance.capacities)
-    engine = SapEngine(_copy_instance(instance, copies))
-    copy_state, log = engine.run()
-
-    state = MatchState.fresh(instance.server_count, list(instance.capacities))
-    state.arrived_count = copy_state.arrived_count
-    for client, copy in enumerate(copy_state.server_of_client):
-        if copy is None:
-            state.server_of_client.append(None)
-        else:
-            original = copies.original(copy)
-            state.server_of_client.append(original)
-            state.clients_of_server[original].append(client)
+    state, log = SapEngine(instance).run()
     state.check_consistent()
     return state, log
 

@@ -113,13 +113,6 @@ class MatchState:
     capacity: Sequence[int]
     arrived_count: int = 0
 
-    @staticmethod
-    def fresh(server_count: int, capacity: Sequence[int] | None = None) -> "MatchState":
-        caps = [1] * server_count if capacity is None else list(capacity)
-        if len(caps) != server_count:
-            raise ValueError("capacity vector must cover every server")
-        return MatchState([], [[] for _ in range(server_count)], caps)
-
     def load(self, server: int) -> int:
         return len(self.clients_of_server[server])
 

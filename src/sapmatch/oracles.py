@@ -6,11 +6,40 @@ that an agreement between an engine and its oracle means something.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 _UNSEEN = -1
+
+
+class CopyMap:
+    """Contiguous block of copy indices per original server.
+
+    The paper's reduction from capacities to unit matching gives each server
+    one copy per capacity unit; this maps between the two index spaces.
+    """
+
+    def __init__(self, sizes: Sequence[int]):
+        if any(u < 1 for u in sizes):
+            raise ValueError("every server needs at least one copy")
+        self.sizes = tuple(sizes)
+        self.starts = [0]
+        for u in self.sizes:
+            self.starts.append(self.starts[-1] + u)
+
+    @property
+    def total_copies(self) -> int:
+        return self.starts[-1]
+
+    def range_of(self, server: int) -> range:
+        return range(self.starts[server], self.starts[server + 1])
+
+    def original(self, copy: int) -> int:
+        if not 0 <= copy < self.total_copies:
+            raise ValueError("copy index out of range")
+        return bisect_right(self.starts, copy) - 1
 
 
 def hopcroft_karp_size(neighbors: Sequence[Sequence[int]], server_count: int) -> int:

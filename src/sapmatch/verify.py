@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .balance import balanced_flow, effective_clients, effective_necessities
+from .balance import balanced_flow
+from .errors import InvariantViolation
 from .fast_engine import FastSapEngine, run_fast_sap
 from .instance import ArrivalInstance
 from .matching import MatchState, RunLog, SapEngine, run_sap
@@ -190,6 +191,8 @@ def check_flow_properties(
 ) -> list[CheckResult]:
     """Per-arrival necessity checks: oracle parity, monotonicity, locality,
     structural invariants, matched-subset bounds, and the expansion tail bound."""
+    if not instance.has_unit_capacities():
+        raise ValueError("verification replays expect unit capacities")
     reason = _flow_skip_reason(instance, oracle_client_limit)
     names = (
         "necessity-vs-oracle",
@@ -208,9 +211,13 @@ def check_flow_properties(
             results[name] = CheckResult(name, False, detail)
 
     engine = SapEngine(instance)
+    # The matching stays maximum, so the clients the run matched on arrival
+    # are the effective clients (see ``effective_clients``).
+    effective_adjacency: dict[int, tuple[int, ...]] = {}
     previous: dict[int, Fraction] = {s: Fraction(0) for s in range(instance.server_count)}
     for c in range(instance.client_count):
-        engine.step(c)
+        if engine.step(c).matched:
+            effective_adjacency[c] = instance.neighbors(c)
         prefix = instance.prefix_adjacency(c + 1)
         flow = balanced_flow(prefix, server_count=instance.server_count)
         try:
@@ -235,8 +242,12 @@ def check_flow_properties(
         previous = flow.necessity
 
         # Expansion: a server that is not fully necessary has a short way out.
-        effective = effective_necessities(instance, c + 1)
-        count = len(effective_clients(instance, c + 1))
+        effective = balanced_flow(
+            effective_adjacency, server_count=instance.server_count
+        ).necessity
+        if any(v > 1 for v in effective.values()):
+            raise InvariantViolation("effective necessities can never exceed 1")
+        count = len(effective_adjacency)
         tails = shortest_tails(instance, engine.state)
         for s in range(instance.server_count):
             if effective[s] >= 1:

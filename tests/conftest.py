@@ -8,7 +8,14 @@ from collections import Counter
 import pytest
 from hypothesis import strategies as st
 
-from sapmatch import ArrivalInstance
+from sapmatch import (
+    ArrivalInstance,
+    CopyMap,
+    SapEngine,
+    gen_minmax_adversary,
+    gen_random,
+    gen_star_chain,
+)
 
 
 def random_instance(rng: random.Random, max_clients: int, max_servers: int,
@@ -44,6 +51,65 @@ def adjacency_corpus(count: int, seed: int, max_clients: int = 12,
             degree = rng.randint(1, servers)
             adjacency[c] = tuple(sorted(rng.sample(range(servers), degree)))
         out.append(adjacency)
+    return out
+
+
+# --- the server-copy expansion, reference for run_capacitated -------------
+
+
+def run_copy_expansion(instance: ArrivalInstance):
+    """The paper's reduction: the unit-capacity engine over one copy per capacity unit.
+
+    Copy blocks are laid out in server order.  Returns the run log and each
+    client's server mapped back from its copy (None if unmatched).
+    """
+    copies = CopyMap(instance.capacities)
+    arrivals = tuple(
+        (client, tuple(copy for s in neighbors for copy in copies.range_of(s)))
+        for client, neighbors in instance.arrivals
+    )
+    state, log = SapEngine(ArrivalInstance(copies.total_copies, arrivals)).run()
+    servers = [None if copy is None else copies.original(copy) for copy in state.server_of_client]
+    return log, servers
+
+
+CAPACITY_RANGES = ((1, 1), (1, 2), (1, 4), (1, 32))
+
+
+def capacitated_corpus(family: str) -> list[tuple[str, ArrivalInstance]]:
+    """Labelled instances of one generator family with drawn server capacities.
+
+    ``random``: 200 draws of ``gen_random`` with S <= 60 and n <= 200 per
+    capacity range.  ``adversary``: ``gen_minmax_adversary(L)`` for L in 4,
+    8, 16, 32, with capacity L everywhere and with each capacity range.
+    ``star-chain``: ``gen_star_chain(5..20)`` with each capacity range.
+    """
+    rng = random.Random(f"{family}-7")
+
+    def with_caps(instance, lo, hi):
+        caps = tuple(rng.randint(lo, hi) for _ in range(instance.server_count))
+        return ArrivalInstance(instance.server_count, instance.arrivals, caps)
+
+    out = []
+    for lo, hi in CAPACITY_RANGES:
+        if family == "random":
+            for k in range(200):
+                servers = rng.randint(1, 60)
+                clients = rng.randint(1, 200)
+                degree = rng.randint(1, min(5, servers))
+                base = gen_random(servers, clients, degree, rng.getrandbits(32))
+                out.append((f"random-{k}-caps{lo}..{hi}", with_caps(base, lo, hi)))
+        elif family == "adversary":
+            for L in (4, 8, 16, 32):
+                out.append((f"adversary-{L}-caps{lo}..{hi}", with_caps(gen_minmax_adversary(L), lo, hi)))
+        elif family == "star-chain":
+            for depth in range(5, 21):
+                out.append((f"star-chain-{depth}-caps{lo}..{hi}", with_caps(gen_star_chain(depth), lo, hi)))
+        else:
+            raise ValueError(f"unknown family {family!r}")
+    if family == "adversary":
+        for L in (4, 8, 16, 32):
+            out.append((f"adversary-{L}-caps{L}", with_caps(gen_minmax_adversary(L), L, L)))
     return out
 
 

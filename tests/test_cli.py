@@ -7,8 +7,12 @@ import io
 import random
 from contextlib import redirect_stderr, redirect_stdout
 
-from sapmatch import ArrivalInstance, gen_minmax_adversary, opt_load
+import pytest
+
+import sapmatch.matching
+from sapmatch import ArrivalInstance, gen_minmax_adversary, gen_random, opt_load
 from sapmatch.cli import _analysis_columns, main
+from sapmatch.verify import check_flow_properties
 from sapmatch.textio import format_instance
 from conftest import random_instance
 
@@ -167,6 +171,25 @@ class TestVerify:
 
     def test_no_arguments_exit_2(self):
         assert run_cli("verify")[0] == 2
+
+    def test_flow_checks_read_effective_clients_off_their_own_run(self, monkeypatch):
+        built = []
+        init = sapmatch.matching.SapEngine.__init__
+
+        def counted(engine, *args, **kwargs):
+            built.append(args[0])
+            init(engine, *args, **kwargs)
+
+        monkeypatch.setattr(sapmatch.matching.SapEngine, "__init__", counted)
+        inst = gen_random(5, 10, 2, seed=101)
+        results = check_flow_properties(inst)
+        assert [r.passed for r in results] == [True] * 5
+        assert built == [inst]  # one stepped engine, no replay per prefix
+
+    def test_flow_checks_reject_capacities(self):
+        inst = ArrivalInstance.build(2, [[0], [0, 1]], capacities=[2, 1])
+        with pytest.raises(ValueError):
+            check_flow_properties(inst)
 
 
 class TestBench:

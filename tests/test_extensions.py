@@ -32,7 +32,9 @@ from conftest import (
     adversary_boundaries,
     adversary_split_counts,
     adversary_split_solutions,
+    capacitated_corpus,
     instance_corpus,
+    run_copy_expansion,
 )
 
 
@@ -111,6 +113,28 @@ class TestCapacitated:
     def test_zero_capacity_rejected_at_construction(self):
         with pytest.raises(ValueError):
             ArrivalInstance.build(1, [[0]], capacities=[0])
+
+    @pytest.mark.parametrize("family", ["random", "adversary", "star-chain"])
+    def test_native_equals_copy_expansion(self, family):
+        # 800 random, 20 adversary and 64 star-chain instances
+        corpus = capacitated_corpus(family)
+        replacements = failures = 0
+        for name, inst in corpus:
+            want_log, want_servers = run_copy_expansion(inst)
+            state, log = run_capacitated(inst)
+            assert log == want_log, name
+            assert state.server_of_client == want_servers, name
+            replacements += log.total_replacements
+            failures += len(log.records) - log.matched_count()
+        # the corpus exercises long paths, and failed searches on all but the star chains
+        assert replacements > 0
+        assert failures > 0 or family == "star-chain"
+
+    def test_copy_expansion_reference_maps_back(self):
+        inst = ArrivalInstance.build(2, [[0], [0], [0, 1], [1]], capacities=[2, 1])
+        log, servers = run_copy_expansion(inst)
+        assert servers == [0, 0, 1, None]
+        assert [r.path_edges for r in log.records] == [1, 1, 1, None]
 
     def test_matched_counts_and_path_budget(self):
         rng_caps = [3, 1, 2, 2, 1, 4]

@@ -82,6 +82,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ValueError("--epsilon applies to the semi engine only")
     if args.depth_limit is not None and args.engine != "fast":
         raise ValueError("--h applies to the fast engine only")
+    if args.debug and args.engine != "fast":
+        raise ValueError("--debug applies to the fast engine only")
     if instance.capacities is not None and args.engine != "capacitated":
         raise ValueError(f"instance has capacities; engine {args.engine} does not take them")
 

@@ -113,8 +113,7 @@ def run_minmax(instance: ArrivalInstance) -> tuple[MatchState, RunLog, list[Epoc
     epochs: list[EpochRecord] = []
     opt = 0
     for client in range(instance.client_count):
-        engine.arrive(client)
-        neighbors = instance.neighbors(client)
+        neighbors = engine.arrive(client)
         if not neighbors:
             engine.log.record(client, None)
             continue
@@ -161,7 +160,6 @@ def run_semi_matching(
     engine = SapEngine(instance, capacity=caps)
     factor = 1 + eps
     for client in range(instance.client_count):
-        engine.arrive(client)
         flow = balanced_flow(
             instance.prefix_adjacency(client + 1), server_count=instance.server_count
         )
@@ -170,13 +168,10 @@ def run_semi_matching(
             if allowance < caps[s]:
                 raise InvariantViolation(f"allowance of server {s} tried to shrink")
             caps[s] = allowance
-        path = engine.shortest_aug_path(client)
-        if path is None:
+        if not engine.step(client).matched:
             raise InvariantViolation(
                 f"client {client} has no augmenting path inside the allowances"
             )
-        engine.augment(path)
-        engine.log.record(client, path.edge_count)
         for s in range(instance.server_count):
             if engine.state.load(s) > caps[s]:
                 raise InvariantViolation(f"server {s} exceeds its allowance")

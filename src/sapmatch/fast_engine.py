@@ -3,21 +3,20 @@
 The matching is mirrored as a directed graph: unmatched edges point from
 client to server, matched edges from server to client, and every vertex that
 could end an augmenting path has an arc to a shared sink.  Shortest paths to
-the sink are maintained up to a depth limit; arrivals whose distance exceeds
-it fall back to a one-off breadth-first search, and when such a search fails
-every vertex it touched is removed for good (none of them can ever lie on an
-augmenting path again).
+the sink are maintained up to a depth limit.  The engine is ``SapEngine``
+with that shortcut: an arrival whose distance exceeds the limit runs
+``SapEngine``'s own search, and when it fails the shared pruning retires
+every vertex it reached (none of them can ever lie on an augmenting path
+again), here by also removing them from the digraph.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Optional
 
 from .instance import ArrivalInstance
-from .matching import ArrivalRecord, AugPath, MatchState, RunLog, flip_path
+from .matching import ArrivalRecord, AugPath, MatchState, RunLog, SapEngine, flip_path
 from .sink_tree import SinkDistanceTree
 
 
@@ -51,14 +50,17 @@ class _BfsCheckedTree(SinkDistanceTree):
         self.validate_against_bfs()
 
 
-class FastSapEngine:
-    """Tree-first search with brute-force fallback and permanent pruning.
+class FastSapEngine(SapEngine):
+    """``SapEngine`` that reads paths within the depth limit off a sink tree.
 
-    Every ``step`` ends with the tree's local Bellman check
-    (``SinkDistanceTree.validate_local``), which costs in proportion to the
-    arrival's updates and proves the tree still equals a fresh truncated BFS.
-    ``run`` also checks it against a full BFS once at the end, and
-    ``debug=True`` does so after every single arc change as well.
+    Arrival bookkeeping, the fallback search and dead-server pruning are
+    ``SapEngine``'s; ``_retire`` also removes the reached nodes from the
+    digraph and logs a ``PruneEvent``, so ``dead`` always equals the tree's
+    removed server nodes.  Every ``step`` ends with the tree's local Bellman
+    check (``SinkDistanceTree.validate_local``), which costs in proportion
+    to the arrival's updates and proves the tree still equals a fresh
+    truncated BFS.  ``run`` also checks it against a full BFS once at the
+    end, and ``debug=True`` does so after every single arc change as well.
     """
 
     def __init__(
@@ -69,7 +71,7 @@ class FastSapEngine:
     ):
         if not instance.has_unit_capacities():
             raise ValueError("the fast engine handles unit capacities only")
-        self.instance = instance
+        super().__init__(instance, capacity=(1,) * instance.server_count)
         n = instance.client_count
         self.n = n
         self.sink = n + instance.server_count
@@ -80,8 +82,6 @@ class FastSapEngine:
         arcs += [(c, self.sink) for c in range(n)]
         tree_type = _BfsCheckedTree if debug else SinkDistanceTree
         self.tree = tree_type(self.sink + 1, self.sink, limit, arcs)
-        self.state = MatchState([], [[] for _ in range(instance.server_count)], [1] * instance.server_count)
-        self.log = RunLog()
         self.prune_events: list[PruneEvent] = []
 
     @property
@@ -91,87 +91,61 @@ class FastSapEngine:
     def _server_node(self, server: int) -> int:
         return self.n + server
 
-    def _brute_force(self, client: int) -> tuple[Optional[list[int]], set[int]]:
-        """Plain BFS over the live digraph; returns (node path to sink, touched nodes)."""
-        parent: dict[int, Optional[int]] = {client: None}
-        queue = deque([client])
-        while queue:
-            u = queue.popleft()
-            for v in sorted(self.tree.out[u]):
-                if v in parent or v in self.tree.deleted:
-                    continue
-                parent[v] = u
-                if v == self.sink:
-                    path = [v]
-                    while path[-1] != client:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    return path, set()
-                queue.append(v)
-        return None, set(parent)
+    def _retire(self, client: int, dist_server: dict[int, int], dist_client: dict[int, int]) -> None:
+        """Retire the reached servers and remove every reached node from the digraph.
 
-    def _prune(self, arrival: int, touched: set[int]) -> None:
-        for v in sorted(touched):
-            self.tree.delete_node(v)
-        self.log.pruned_nodes += len(touched)
-        self.prune_events.append(
-            PruneEvent(
-                arrival,
-                frozenset(v - self.n for v in touched if v >= self.n),
-                frozenset(v for v in touched if v < self.n),
-            )
-        )
+        A failed search reaches only full unit servers and, from each, only
+        its one client, so these are exactly the nodes a search of the
+        digraph would reach.
+        """
+        self.dead.update(dist_server)
+        clients, servers = sorted(dist_client), sorted(dist_server)
+        tree, n = self.tree, self.n
+        for c in clients:
+            tree.delete_node(c)
+        for s in servers:
+            tree.delete_node(n + s)
+        self.log.pruned_nodes += len(clients) + len(servers)
+        self.prune_events.append(PruneEvent(client, frozenset(servers), frozenset(clients)))
 
-    def _apply_augment(self, nodes: list[int]) -> None:
-        """Flip the augmenting path given as digraph nodes (client first, sink left out)."""
-        n = self.n
-        flip_path(self.state, AugPath(tuple(v if v < n else v - n for v in nodes)))
+    def step(self, client: int) -> ArrivalRecord:
+        neighbors = self.arrive(client)
+        tree, n, sink, log = self.tree, self.n, self.sink, self.log
+        deleted = tree.deleted
+        for s in neighbors:
+            node = n + s
+            if node not in deleted:
+                tree.insert_arc(client, node)
+        # Deleting the dummy arc last keeps every insertion distance-neutral.
+        tree.delete_arc(client, sink)
+
+        if tree.level[client] <= tree.depth_limit:
+            nodes = tree.path_to_sink(client)
+            nodes.pop()  # the sink
+            path = AugPath(tuple([v if v < n else v - n for v in nodes]))
+            log.tree_paths += 1
+        else:
+            path = self.shortest_aug_path(client)
+            if path is None:
+                log.brute_failures += 1
+                tree.validate_local()
+                return log.record(client, None)
+            log.brute_paths += 1
+            nodes = [v + n if i % 2 else v for i, v in enumerate(path.vertices)]
+        flip_path(self.state, path)
         # Reverse the path arcs starting next to the client; the dummy arc of
         # the terminal server goes last, once that server is matched.
-        tree = self.tree
         for u, v in zip(nodes, nodes[1:]):
             tree.insert_arc(v, u)
             tree.delete_arc(u, v)
-        tree.delete_arc(nodes[-1], self.sink)
-
-    def step(self, client: int) -> ArrivalRecord:
-        if client != self.state.arrived_count:
-            raise ValueError(
-                f"clients arrive in order; expected {self.state.arrived_count}, got {client}"
-            )
-        if client >= self.n:
-            raise ValueError("client id beyond the instance")
-        tree = self.tree
-        self.state.server_of_client.append(None)
-        self.state.arrived_count += 1
-        for s in self.instance.neighbors(client):
-            node = self.n + s
-            if node not in tree.deleted:
-                tree.insert_arc(client, node)
-        # Deleting the dummy arc last keeps every insertion distance-neutral.
-        tree.delete_arc(client, self.sink)
-
-        node_path: Optional[list[int]]
-        if tree.level[client] <= tree.depth_limit:
-            node_path = tree.path_to_sink(client)
-            self.log.tree_paths += 1
-        else:
-            node_path, touched = self._brute_force(client)
-            if node_path is not None:
-                self.log.brute_paths += 1
-            else:
-                self.log.brute_failures += 1
-                self._prune(client, touched)
-        if node_path is not None:
-            self._apply_augment(node_path[:-1])
+        tree.delete_arc(nodes[-1], sink)
         tree.validate_local()
-        return self.log.record(client, None if node_path is None else len(node_path) - 2)
+        return log.record(client, len(nodes) - 1)
 
     def run(self) -> tuple[MatchState, RunLog]:
-        for client in range(self.instance.client_count):
-            self.step(client)
+        result = super().run()
         self.tree.validate_against_bfs()
-        return self.state, self.log
+        return result
 
 
 def run_fast_sap(

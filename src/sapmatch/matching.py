@@ -181,14 +181,14 @@ class SapEngine:
     index in the first layer that contains one, and the path is reconstructed
     by always taking the smallest-index predecessor client.
 
-    A failed search adds every server it reached to ``dead``, and later
-    searches skip those servers (see the module docstring for why no output
-    changes).  That needs fixed capacities, so pruning is on only when the
-    engine owns them: with ``capacity=None`` or any non-list sequence they are
-    stored as a tuple, and writing to one raises ``TypeError``.  A ``list`` is
-    kept as a shared reference that the caller may grow in place (min-max and
-    semi-matching allowances); the engine then sets ``dead = None`` and never
-    prunes.
+    A failed search hands what it reached to ``_retire``, which adds every
+    reached server to ``dead``, and later searches skip those servers (see
+    the module docstring for why no output changes).  That needs fixed
+    capacities, so pruning is on only when the engine owns them: with
+    ``capacity=None`` or any non-list sequence they are stored as a tuple,
+    and writing to one raises ``TypeError``.  A ``list`` is kept as a shared
+    reference that the caller may grow in place (min-max and semi-matching
+    allowances); the engine then sets ``dead = None`` and never prunes.
     """
 
     def __init__(
@@ -214,17 +214,23 @@ class SapEngine:
         self.server_adj: list[list[int]] = [[] for _ in range(instance.server_count)]
         self.log = log if log is not None else RunLog()
 
-    def arrive(self, client: int) -> None:
-        if client != self.state.arrived_count:
+    def arrive(self, client: int) -> tuple[int, ...]:
+        """Admit the next client, unmatched; returns its neighbors."""
+        state = self.state
+        if client != state.arrived_count:
             raise ValueError(
-                f"clients arrive in order; expected {self.state.arrived_count}, got {client}"
+                f"clients arrive in order; expected {state.arrived_count}, got {client}"
             )
-        if client >= self.instance.client_count:
+        arrivals = self.instance.arrivals
+        if client >= len(arrivals):
             raise ValueError("client id beyond the instance")
-        self.state.server_of_client.append(None)
-        self.state.arrived_count += 1
-        for s in self.instance.neighbors(client):
-            self.server_adj[s].append(client)
+        state.server_of_client.append(None)
+        state.arrived_count += 1
+        neighbors = arrivals[client][1]
+        server_adj = self.server_adj
+        for s in neighbors:
+            server_adj[s].append(client)
+        return neighbors
 
     def shortest_aug_path(self, client: int) -> Optional[AugPath]:
         """Shortest augmenting path from an arrived, unmatched client, or None."""
@@ -263,7 +269,7 @@ class SapEngine:
             depth += 2
         if target is None:
             if self.dead is not None:
-                self.dead.update(dist_server)
+                self._retire(client, dist_server, dist_client)
             return None
 
         # Walk back from the free server, taking the smallest-index client
@@ -286,6 +292,10 @@ class SapEngine:
             reversed_vertices.append(server)
             d -= 1
         return AugPath(tuple(reversed(reversed_vertices)))
+
+    def _retire(self, client: int, dist_server: dict[int, int], dist_client: dict[int, int]) -> None:
+        """Retire what the failed search from ``client`` reached (fixed capacities only)."""
+        self.dead.update(dist_server)
 
     def augment(self, path: AugPath) -> int:
         verts = path.vertices

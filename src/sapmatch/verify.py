@@ -1,8 +1,8 @@
 """Executable property checks tying the engines to their oracles and bounds.
 
-Each check replays one instance and returns a CheckResult; `verify_instance`
-bundles the full battery.  The flow-based checks need every client to have a
-neighbor and a small client count (the oracle enumerates subsets), so they
+Each check returns a CheckResult; `verify_instance` runs the full battery off
+one stepped run per engine.  The flow-based checks need every client to have
+a neighbor and a small client count (the oracle enumerates subsets), so they
 are skipped with a notice where they do not apply.
 """
 
@@ -15,9 +15,9 @@ from typing import Optional
 
 from .balance import balanced_flow
 from .errors import InvariantViolation
-from .fast_engine import FastSapEngine, run_fast_sap
+from .fast_engine import FastSapEngine
 from .instance import ArrivalInstance
-from .matching import MatchState, RunLog, SapEngine, run_sap
+from .matching import MatchState, RunLog, SapEngine
 from .oracles import hopcroft_karp_size, oracle_balanced_flow, oracle_shortest_aug_path
 
 LONG_PATH_FACTOR = 4.0  # paths longer than h: at most 4 n ln(n) / h
@@ -95,27 +95,6 @@ def shortest_tails(instance: ArrivalInstance, state: MatchState) -> list[Optiona
     return [dist_server.get(s) for s in range(instance.server_count)]
 
 
-def check_matching_maximality(instance: ArrivalInstance) -> CheckResult:
-    """Both engines keep the matching maximum after every arrival (phased-search oracle)."""
-    naive = SapEngine(instance)
-    fast = FastSapEngine(instance)
-    size_naive = 0
-    size_fast = 0
-    for c in range(instance.client_count):
-        size_naive += 1 if naive.step(c).matched else 0
-        size_fast += 1 if fast.step(c).matched else 0
-        want = hopcroft_karp_size(
-            [instance.neighbors(i) for i in range(c + 1)], instance.server_count
-        )
-        if size_naive != want or size_fast != want:
-            return CheckResult(
-                "matching-maximality",
-                False,
-                f"after arrival {c}: naive {size_naive}, fast {size_fast}, maximum {want}",
-            )
-    return CheckResult("matching-maximality", True, f"{instance.client_count} arrivals")
-
-
 def check_replacement_accounting(log: RunLog) -> CheckResult:
     cum_r = sum(r.replacements for r in log.records)
     cum_e = sum(r.path_edges or 0 for r in log.records)
@@ -157,27 +136,6 @@ def check_total_path_length(log: RunLog, n: int) -> CheckResult:
     )
 
 
-def check_fast_oracle_parity(
-    instance: ArrivalInstance, depth_limit: int | None = None
-) -> CheckResult:
-    """The fast engine's per-arrival path length matches a fresh snapshot search."""
-    engine = FastSapEngine(instance, depth_limit=depth_limit)
-    neighbors = [instance.neighbors(c) for c in range(instance.client_count)]
-    for c in range(instance.client_count):
-        snapshot = list(engine.state.server_of_client) + [None]
-        rec = engine.step(c)
-        want = oracle_shortest_aug_path(
-            neighbors, snapshot, [1] * instance.server_count, c
-        )
-        if rec.path_edges != want:
-            return CheckResult(
-                "fast-oracle-parity",
-                False,
-                f"arrival {c}: engine {rec.path_edges}, oracle {want}",
-            )
-    return CheckResult("fast-oracle-parity", True)
-
-
 def _flow_skip_reason(instance: ArrivalInstance, oracle_client_limit: int) -> Optional[str]:
     if any(not nbrs for _, nbrs in instance.arrivals):
         return "instance has a client with no neighbors"
@@ -186,38 +144,35 @@ def _flow_skip_reason(instance: ArrivalInstance, oracle_client_limit: int) -> Op
     return None
 
 
-def check_flow_properties(
-    instance: ArrivalInstance, oracle_client_limit: int = 16
-) -> list[CheckResult]:
-    """Per-arrival necessity checks: oracle parity, monotonicity, locality,
-    structural invariants, matched-subset bounds, and the expansion tail bound."""
-    if not instance.has_unit_capacities():
-        raise ValueError("verification replays expect unit capacities")
-    reason = _flow_skip_reason(instance, oracle_client_limit)
-    names = (
+class _FlowChecks:
+    """Per-arrival necessity checks, fed the state of a stepped ``SapEngine``."""
+
+    NAMES = (
         "necessity-vs-oracle",
         "necessity-monotone",
         "necessity-locality",
         "balanced-flow-invariants",
         "expansion-tails",
     )
-    if reason is not None:
-        return [CheckResult(name, None, reason) for name in names]
 
-    results: dict[str, CheckResult] = {}
+    def __init__(self, instance: ArrivalInstance, oracle_client_limit: int):
+        self.instance = instance
+        self.skip = _flow_skip_reason(instance, oracle_client_limit)
+        self.failures: dict[str, CheckResult] = {}
+        self.effective_adjacency: dict[int, tuple[int, ...]] = {}
+        self.previous = {s: Fraction(0) for s in range(instance.server_count)}
 
-    def fail(name: str, detail: str) -> None:
-        if name not in results:
-            results[name] = CheckResult(name, False, detail)
+    def fail(self, name: str, detail: str) -> None:
+        self.failures.setdefault(name, CheckResult(name, False, detail))
 
-    engine = SapEngine(instance)
-    # The matching stays maximum, so the clients the run matched on arrival
-    # are the effective clients (see ``effective_clients``).
-    effective_adjacency: dict[int, tuple[int, ...]] = {}
-    previous: dict[int, Fraction] = {s: Fraction(0) for s in range(instance.server_count)}
-    for c in range(instance.client_count):
-        if engine.step(c).matched:
-            effective_adjacency[c] = instance.neighbors(c)
+    def arrival(self, c: int, matched: bool, state: MatchState) -> None:
+        if self.skip is not None:
+            return
+        instance, fail, previous = self.instance, self.fail, self.previous
+        # The matching stays maximum, so the clients the run matched on arrival
+        # are the effective clients (see ``effective_clients``).
+        if matched:
+            self.effective_adjacency[c] = instance.neighbors(c)
         prefix = instance.prefix_adjacency(c + 1)
         flow = balanced_flow(prefix, server_count=instance.server_count)
         try:
@@ -239,16 +194,16 @@ def check_flow_properties(
                         "necessity-locality",
                         f"arrival {c}: server {s} below the gate changed",
                     )
-        previous = flow.necessity
+        self.previous = flow.necessity
 
         # Expansion: a server that is not fully necessary has a short way out.
         effective = balanced_flow(
-            effective_adjacency, server_count=instance.server_count
+            self.effective_adjacency, server_count=instance.server_count
         ).necessity
         if any(v > 1 for v in effective.values()):
             raise InvariantViolation("effective necessities can never exceed 1")
-        count = len(effective_adjacency)
-        tails = shortest_tails(instance, engine.state)
+        count = len(self.effective_adjacency)
+        tails = shortest_tails(instance, state)
         for s in range(instance.server_count):
             if effective[s] >= 1:
                 continue
@@ -259,33 +214,82 @@ def check_flow_properties(
                     "expansion-tails",
                     f"arrival {c}: server {s} tail {tail}, bound {bound}",
                 )
-    for name in names:
-        results.setdefault(name, CheckResult(name, True))
-    return [results[name] for name in names]
+
+    def results(self) -> list[CheckResult]:
+        if self.skip is not None:
+            return [CheckResult(name, None, self.skip) for name in self.NAMES]
+        return [self.failures.get(name, CheckResult(name, True)) for name in self.NAMES]
+
+
+def check_flow_properties(
+    instance: ArrivalInstance, oracle_client_limit: int = 16
+) -> list[CheckResult]:
+    """Per-arrival necessity checks: oracle parity, monotonicity, locality,
+    structural invariants, matched-subset bounds, and the expansion tail bound."""
+    if not instance.has_unit_capacities():
+        raise ValueError("verification replays expect unit capacities")
+    checks = _FlowChecks(instance, oracle_client_limit)
+    if checks.skip is None:
+        engine = SapEngine(instance)
+        for c in range(instance.client_count):
+            checks.arrival(c, engine.step(c).matched, engine.state)
+    return checks.results()
 
 
 def verify_instance(
     instance: ArrivalInstance, oracle_client_limit: int = 16
 ) -> list[CheckResult]:
-    """The full battery for one unit-capacity instance."""
+    """The full battery for one unit-capacity instance, from one stepped run per engine.
+
+    After every arrival both matchings must be maximum (phased-search
+    oracle), the fast engine's path length must match a fresh snapshot
+    search, and the naive engine's state feeds the flow checks.
+    """
     if not instance.has_unit_capacities():
         raise ValueError("verification replays expect unit capacities")
-    results = [check_matching_maximality(instance)]
-    n = instance.client_count
-    _, log = run_sap(instance)
-    _, fast_log = run_fast_sap(instance)
-    results.append(check_replacement_accounting(log))
-    results.append(check_long_path_counts(log, n))
-    results.append(check_total_path_length(log, n))
+    n, servers = instance.client_count, instance.server_count
+    naive, fast = SapEngine(instance), FastSapEngine(instance)
+    flow_checks = _FlowChecks(instance, oracle_client_limit)
+    neighbors = [instance.neighbors(c) for c in range(n)]
+    maximality = CheckResult("matching-maximality", True, f"{n} arrivals")
+    parity = CheckResult("fast-oracle-parity", True)
+    size_naive = size_fast = 0
+    for c in range(n):
+        snapshot = fast.state.server_of_client + [None]
+        rec, fast_rec = naive.step(c), fast.step(c)
+        size_naive += rec.matched
+        size_fast += fast_rec.matched
+        want = hopcroft_karp_size(neighbors[: c + 1], servers)
+        if maximality.passed and (size_naive != want or size_fast != want):
+            maximality = CheckResult(
+                "matching-maximality",
+                False,
+                f"after arrival {c}: naive {size_naive}, fast {size_fast}, maximum {want}",
+            )
+        want = oracle_shortest_aug_path(neighbors, snapshot, [1] * servers, c)
+        if parity.passed and fast_rec.path_edges != want:
+            parity = CheckResult(
+                "fast-oracle-parity",
+                False,
+                f"arrival {c}: engine {fast_rec.path_edges}, oracle {want}",
+            )
+        flow_checks.arrival(c, rec.matched, naive.state)
+    fast.tree.validate_against_bfs()  # what ``FastSapEngine.run`` does last
+    log = naive.log
     # Ties may lead the two engines to different matchings, so per-arrival
     # lengths are not comparable across engines; matched/unmatched is.
     outcomes_match = [r.matched for r in log.records] == [
-        r.matched for r in fast_log.records
+        r.matched for r in fast.log.records
     ]
-    results.append(CheckResult("engine-outcome-parity", outcomes_match))
-    results.append(check_fast_oracle_parity(instance))
-    results.extend(check_flow_properties(instance, oracle_client_limit))
-    return results
+    return [
+        maximality,
+        check_replacement_accounting(log),
+        check_long_path_counts(log, n),
+        check_total_path_length(log, n),
+        CheckResult("engine-outcome-parity", outcomes_match),
+        parity,
+        *flow_checks.results(),
+    ]
 
 
 def builtin_small_suite() -> list[tuple[str, ArrivalInstance]]:

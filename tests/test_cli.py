@@ -12,7 +12,7 @@ import pytest
 import sapmatch.matching
 from sapmatch import ArrivalInstance, gen_minmax_adversary, gen_random, opt_load
 from sapmatch.cli import _analysis_columns, main
-from sapmatch.verify import check_flow_properties
+from sapmatch.verify import check_flow_properties, verify_instance
 from sapmatch.textio import format_instance
 from conftest import random_instance
 
@@ -128,6 +128,11 @@ class TestRun:
                 "--out", str(inst_file))
         assert run_cli("run", str(inst_file), "--epsilon", "1/2")[0] == 2
         assert run_cli("run", str(inst_file), "--h", "3")[0] == 2
+        for engine in ("naive", "minmax", "semi"):
+            code, _, err = run_cli("run", str(inst_file), "--engine", engine, "--debug")
+            assert code == 2
+            assert "--debug applies to the fast engine only" in err
+        assert run_cli("run", str(inst_file), "--engine", "fast", "--debug")[0] == 0
 
     def test_capacitated_file_needs_capacitated_engine(self, tmp_path):
         inst_file = tmp_path / "cap.txt"
@@ -185,6 +190,19 @@ class TestVerify:
         results = check_flow_properties(inst)
         assert [r.passed for r in results] == [True] * 5
         assert built == [inst]  # one stepped engine, no replay per prefix
+
+    def test_battery_steps_each_engine_once(self, monkeypatch):
+        built = []
+        init = sapmatch.matching.SapEngine.__init__
+
+        def counted(engine, *args, **kwargs):
+            built.append(type(engine).__name__)
+            init(engine, *args, **kwargs)
+
+        monkeypatch.setattr(sapmatch.matching.SapEngine, "__init__", counted)
+        results = verify_instance(gen_random(5, 10, 2, seed=101))
+        assert len(results) == 11 and all(r.passed for r in results)
+        assert built == ["SapEngine", "FastSapEngine"]
 
     def test_flow_checks_reject_capacities(self):
         inst = ArrivalInstance.build(2, [[0], [0, 1]], capacities=[2, 1])

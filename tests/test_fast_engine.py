@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,10 @@ import pytest
 from sapmatch import (
     ArrivalInstance,
     FastSapEngine,
+    SapEngine,
     default_depth_limit,
     effective_necessities,
+    gen_minmax_adversary,
     gen_random,
     gen_star_chain,
     run_fast_sap,
@@ -62,6 +65,27 @@ def count_calls(tree, names: tuple[str, ...]) -> dict[str, int]:
 
         setattr(tree, name, counted)
     return counts
+
+
+def dead_server_nodes(engine: FastSapEngine) -> set[int]:
+    """The servers whose nodes the engine has removed from its digraph."""
+    return {v - engine.n for v in engine.tree.deleted if v >= engine.n}
+
+
+def shared_core_corpus(family: str) -> list[tuple[str, ArrivalInstance]]:
+    """``random``: 60 draws with S <= 60 and n <= 120; ``star-chain``: depth 5..20;
+    ``adversary``: ``gen_minmax_adversary(8)``."""
+    if family == "random":
+        rng = random.Random("shared-core")
+        out = []
+        for k in range(60):
+            servers = rng.randint(1, 60)
+            degree = rng.randint(1, min(4, servers))
+            out.append((f"random-{k}", gen_random(servers, rng.randint(1, 120), degree, rng.getrandbits(32))))
+        return out
+    if family == "star-chain":
+        return [(f"star-chain-{depth}", gen_star_chain(depth)) for depth in range(5, 21)]
+    return [("adversary-8", gen_minmax_adversary(8))]
 
 
 def current_arcs(engine: FastSapEngine) -> set[tuple[int, int]]:
@@ -228,6 +252,44 @@ class TestEngineEquivalence:
         with pytest.raises(ValueError, match="beyond the instance"):
             engine.step(inst.client_count)
         assert snapshot() == before
+
+
+class TestSharedCore:
+    """The fast engine is ``SapEngine`` plus the tree shortcut: search, pruning and bookkeeping are shared."""
+
+    @pytest.mark.parametrize("family", ["random", "star-chain", "adversary"])
+    def test_depth_limit_one_is_sap_engine(self, family):
+        # Every client sits at least two arcs from the sink, so with h = 1 no
+        # path is read off the tree and each arrival runs SapEngine's search.
+        for label, inst in shared_core_corpus(family):
+            naive = SapEngine(inst)
+            fast = FastSapEngine(inst, depth_limit=1)
+            for c in range(inst.client_count):
+                assert fast.step(c) == naive.step(c), f"{label}: arrival {c}"
+                assert fast.dead == naive.dead == dead_server_nodes(fast), f"{label}: arrival {c}"
+            assert fast.log.records == naive.log.records, label
+            assert fast.log.tree_paths == 0, label
+            assert fast.state.server_of_client == naive.state.server_of_client, label
+            assert fast.state.clients_of_server == naive.state.clients_of_server, label
+
+    def test_dead_servers_are_the_removed_nodes(self):
+        # Two in five arrivals fail at five servers per eight clients, so
+        # pruning runs often at the default limit.
+        engine = FastSapEngine(gen_random(640, 1024, 3, 1))
+        for c in range(engine.n):
+            engine.step(c)
+            assert engine.dead == dead_server_nodes(engine)
+        assert engine.log.brute_failures > 0 and engine.dead
+
+    def test_prune_events_list_what_the_failed_search_reached(self):
+        engine = FastSapEngine(gen_random(24, 48, 2, seed=3))
+        engine.run()
+        assert engine.prune_events
+        removed_servers = set().union(*(event.servers for event in engine.prune_events))
+        removed_clients = set().union(*(event.clients for event in engine.prune_events))
+        assert removed_servers == engine.dead
+        assert {engine.n + s for s in removed_servers} | removed_clients == engine.tree.deleted
+        assert engine.log.pruned_nodes == len(engine.tree.deleted)
 
 
 class TestValidationContract:

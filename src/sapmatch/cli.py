@@ -97,7 +97,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     elif args.engine == "minmax":
         state, log, epochs = run_minmax(instance)
     else:
-        eps = Fraction(args.epsilon if args.epsilon is not None else "1")
+        try:
+            eps = Fraction(args.epsilon if args.epsilon is not None else "1")
+        except ZeroDivisionError:
+            raise ValueError(f"--epsilon {args.epsilon} has a zero denominator") from None
         state, log = run_semi_matching(instance, eps)
 
     analysis = _analysis_columns(instance) if args.analyze else None

@@ -91,15 +91,15 @@ class FastSapEngine(SapEngine):
     def _server_node(self, server: int) -> int:
         return self.n + server
 
-    def _retire(self, client: int, dist_server: dict[int, int], dist_client: dict[int, int]) -> None:
+    def _retire(self, client: int, servers: dict[int, int], clients: set[int]) -> None:
         """Retire the reached servers and remove every reached node from the digraph.
 
         A failed search reaches only full unit servers and, from each, only
         its one client, so these are exactly the nodes a search of the
         digraph would reach.
         """
-        self.dead.update(dist_server)
-        clients, servers = sorted(dist_client), sorted(dist_server)
+        self.dead.update(servers)
+        clients, servers = sorted(clients), sorted(servers)
         tree, n = self.tree, self.n
         for c in clients:
             tree.delete_node(c)

@@ -12,6 +12,8 @@ def gen_random(servers: int, clients: int, degree: int, seed: int) -> ArrivalIns
     """Each client samples ``degree`` distinct servers; bit-identical under one seed."""
     if servers < 1:
         raise ValueError("need at least one server")
+    if clients < 0:
+        raise ValueError("the client count cannot be negative")
     if not 1 <= degree <= servers:
         raise ValueError("degree must lie between 1 and the server count")
     rng = random.Random(seed)

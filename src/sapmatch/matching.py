@@ -179,7 +179,11 @@ class SapEngine:
     Tie-breaking is deterministic: the BFS reaches servers through neighbor
     lists in ascending index order, the free server chosen is the smallest
     index in the first layer that contains one, and the path is reconstructed
-    by always taking the smallest-index predecessor client.
+    by always taking the smallest-index predecessor client.  The search
+    records, for every server it reaches, the client that reached it first;
+    since each client layer is scanned in ascending order, that first
+    discoverer is the smallest-index client one layer back whose unmatched
+    edge enters the server, so the path is read straight off those records.
 
     A failed search hands what it reached to ``_retire``, which adds every
     reached server to ``dead``, and later searches skip those servers (see
@@ -210,8 +214,6 @@ class SapEngine:
         self.state = MatchState([], [[] for _ in range(instance.server_count)], caps)
         # Servers no augmenting path can reach again; None when capacities may grow.
         self.dead: set[int] | None = None if isinstance(caps, list) else set()
-        # Arrived clients adjacent to each server, ascending (ids arrive in order).
-        self.server_adj: list[list[int]] = [[] for _ in range(instance.server_count)]
         self.log = log if log is not None else RunLog()
 
     def arrive(self, client: int) -> tuple[int, ...]:
@@ -226,11 +228,7 @@ class SapEngine:
             raise ValueError("client id beyond the instance")
         state.server_of_client.append(None)
         state.arrived_count += 1
-        neighbors = arrivals[client][1]
-        server_adj = self.server_adj
-        for s in neighbors:
-            server_adj[s].append(client)
-        return neighbors
+        return arrivals[client][1]
 
     def shortest_aug_path(self, client: int) -> Optional[AugPath]:
         """Shortest augmenting path from an arrived, unmatched client, or None."""
@@ -241,61 +239,46 @@ class SapEngine:
             raise ValueError("client is already matched")
 
         dead = self.dead if self.dead is not None else ()
-        dist_client: dict[int, int] = {client: 0}
-        dist_server: dict[int, int] = {}
+        server_of_client = state.server_of_client
+        reached = {client}
+        via: dict[int, int] = {}  # server -> the first client to reach it
         frontier = [client]
-        depth = 0
         target: Optional[int] = None
         while frontier:
             new_servers = []
             for c in frontier:
-                own = state.server_of_client[c]
+                own = server_of_client[c]
                 for s in self.instance.neighbors(c):
-                    if s != own and s not in dist_server and s not in dead:
-                        dist_server[s] = depth + 1
+                    if s != own and s not in via and s not in dead:
+                        via[s] = c
                         new_servers.append(s)
             free = [s for s in new_servers if state.is_free(s)]
             if free:
                 target = min(free)
-                depth += 1
                 break
             next_clients = []
             for s in new_servers:
                 for c in state.clients_of_server[s]:
-                    if c not in dist_client:
-                        dist_client[c] = depth + 2
+                    if c not in reached:
+                        reached.add(c)
                         next_clients.append(c)
+            next_clients.sort()  # so the first client to reach a server is the smallest
             frontier = next_clients
-            depth += 2
         if target is None:
             if self.dead is not None:
-                self._retire(client, dist_server, dist_client)
+                self._retire(client, via, reached)
             return None
 
-        # Walk back from the free server, taking the smallest-index client
-        # whose unmatched edge enters each server one layer earlier.
-        reversed_vertices = [target]
-        server, d = target, depth
-        while True:
-            prev = None
-            for c in self.server_adj[server]:
-                if dist_client.get(c) == d - 1 and state.server_of_client[c] != server:
-                    prev = c
-                    break
-            assert prev is not None, "BFS layers must admit a predecessor"
-            reversed_vertices.append(prev)
-            d -= 1
-            if d == 0:
-                break
-            server = state.server_of_client[prev]
-            assert server is not None and dist_server.get(server) == d - 1
-            reversed_vertices.append(server)
-            d -= 1
+        # Walk back from the free server through each server's first discoverer.
+        reversed_vertices = [target, via[target]]
+        while reversed_vertices[-1] != client:
+            server = server_of_client[reversed_vertices[-1]]
+            reversed_vertices += (server, via[server])
         return AugPath(tuple(reversed(reversed_vertices)))
 
-    def _retire(self, client: int, dist_server: dict[int, int], dist_client: dict[int, int]) -> None:
+    def _retire(self, client: int, servers: dict[int, int], clients: set[int]) -> None:
         """Retire what the failed search from ``client`` reached (fixed capacities only)."""
-        self.dead.update(dist_server)
+        self.dead.update(servers)
 
     def augment(self, path: AugPath) -> int:
         verts = path.vertices

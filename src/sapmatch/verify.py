@@ -221,21 +221,6 @@ class _FlowChecks:
         return [self.failures.get(name, CheckResult(name, True)) for name in self.NAMES]
 
 
-def check_flow_properties(
-    instance: ArrivalInstance, oracle_client_limit: int = 16
-) -> list[CheckResult]:
-    """Per-arrival necessity checks: oracle parity, monotonicity, locality,
-    structural invariants, matched-subset bounds, and the expansion tail bound."""
-    if not instance.has_unit_capacities():
-        raise ValueError("verification replays expect unit capacities")
-    checks = _FlowChecks(instance, oracle_client_limit)
-    if checks.skip is None:
-        engine = SapEngine(instance)
-        for c in range(instance.client_count):
-            checks.arrival(c, engine.step(c).matched, engine.state)
-    return checks.results()
-
-
 def verify_instance(
     instance: ArrivalInstance, oracle_client_limit: int = 16
 ) -> list[CheckResult]:

@@ -12,7 +12,7 @@ import pytest
 import sapmatch.matching
 from sapmatch import ArrivalInstance, gen_minmax_adversary, gen_random, opt_load
 from sapmatch.cli import _analysis_columns, main
-from sapmatch.verify import check_flow_properties, verify_instance
+from sapmatch.verify import verify_instance
 from sapmatch.textio import format_instance
 from conftest import random_instance
 
@@ -49,6 +49,13 @@ class TestGen:
         code, _, err = run_cli("gen", "adversary", "--L", "6")
         assert code == 2
         assert "error" in err
+
+    def test_negative_client_count_exit_2(self):
+        code, out, err = run_cli("gen", "random", "--servers", "5", "--clients", "-1",
+                                 "--degree", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestRun:
@@ -151,6 +158,17 @@ class TestRun:
         assert code == 0
         assert "matched=10" in out
 
+    @pytest.mark.parametrize("epsilon", ["1/0", "0", "half"])
+    def test_semi_bad_epsilon_exit_2(self, tmp_path, epsilon):
+        inst_file = tmp_path / "inst.txt"
+        run_cli("gen", "complete", "--clients", "2", "--servers", "2",
+                "--out", str(inst_file))
+        code, out, err = run_cli("run", str(inst_file), "--engine", "semi",
+                                 "--epsilon", epsilon)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 class TestVerify:
     def test_small_suite_passes(self):
@@ -177,20 +195,6 @@ class TestVerify:
     def test_no_arguments_exit_2(self):
         assert run_cli("verify")[0] == 2
 
-    def test_flow_checks_read_effective_clients_off_their_own_run(self, monkeypatch):
-        built = []
-        init = sapmatch.matching.SapEngine.__init__
-
-        def counted(engine, *args, **kwargs):
-            built.append(args[0])
-            init(engine, *args, **kwargs)
-
-        monkeypatch.setattr(sapmatch.matching.SapEngine, "__init__", counted)
-        inst = gen_random(5, 10, 2, seed=101)
-        results = check_flow_properties(inst)
-        assert [r.passed for r in results] == [True] * 5
-        assert built == [inst]  # one stepped engine, no replay per prefix
-
     def test_battery_steps_each_engine_once(self, monkeypatch):
         built = []
         init = sapmatch.matching.SapEngine.__init__
@@ -207,7 +211,7 @@ class TestVerify:
     def test_flow_checks_reject_capacities(self):
         inst = ArrivalInstance.build(2, [[0], [0, 1]], capacities=[2, 1])
         with pytest.raises(ValueError):
-            check_flow_properties(inst)
+            verify_instance(inst)
 
 
 class TestBench:

@@ -41,6 +41,11 @@ class TestGenRandom:
         with pytest.raises(ValueError):
             gen_random(3, 5, 0, seed=0)
 
+    def test_negative_client_count_rejected(self):
+        with pytest.raises(ValueError, match="client count"):
+            gen_random(5, -1, 1, seed=0)
+        assert gen_random(5, 0, 1, seed=0).client_count == 0
+
 
 class TestGenComplete:
     def test_shape(self):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from sapmatch import (
     ArrivalInstance,
     AugPath,
+    FastSapEngine,
     SapEngine,
     balance,
     effective_necessities,
@@ -348,6 +349,209 @@ class TestDeadServerPruning:
             if not reference.step(c).matched:
                 unpruned_failed_visits += visits[0] - start
         assert unpruned_failed_visits > 10 * inst.server_count
+
+
+class WalkBack:
+    """The reference path rule: layer distances and a scan back from the free server.
+
+    Every server keeps the arrived clients adjacent to it, ascending.  The
+    walk back from the free server takes, at each server, the first client
+    in that list that sits one layer earlier and whose unmatched edge enters
+    the server.  Written out in full so that it shares no code with the
+    search under test.  Mixed into an engine class, it replaces that
+    engine's search and keeps the server lists on arrival.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.server_adj: list[list[int]] = [[] for _ in range(self.instance.server_count)]
+
+    def arrive(self, client: int) -> tuple[int, ...]:
+        neighbors = super().arrive(client)
+        for s in neighbors:
+            self.server_adj[s].append(client)
+        return neighbors
+
+    def shortest_aug_path(self, client: int) -> Optional[AugPath]:
+        state = self.state
+        dead = self.dead if self.dead is not None else ()
+        dist_client: dict[int, int] = {client: 0}
+        dist_server: dict[int, int] = {}
+        frontier = [client]
+        depth = 0
+        target: Optional[int] = None
+        while frontier:
+            new_servers = []
+            for c in frontier:
+                own = state.server_of_client[c]
+                for s in self.instance.neighbors(c):
+                    if s != own and s not in dist_server and s not in dead:
+                        dist_server[s] = depth + 1
+                        new_servers.append(s)
+            free = [s for s in new_servers if state.is_free(s)]
+            if free:
+                target = min(free)
+                depth += 1
+                break
+            next_clients = []
+            for s in new_servers:
+                for c in state.clients_of_server[s]:
+                    if c not in dist_client:
+                        dist_client[c] = depth + 2
+                        next_clients.append(c)
+            frontier = next_clients
+            depth += 2
+        if target is None:
+            if self.dead is not None:
+                self._retire(client, dist_server, set(dist_client))
+            return None
+
+        reversed_vertices = [target]
+        server, d = target, depth
+        while True:
+            prev = None
+            for c in self.server_adj[server]:
+                if dist_client.get(c) == d - 1 and state.server_of_client[c] != server:
+                    prev = c
+                    break
+            assert prev is not None, "BFS layers must admit a predecessor"
+            reversed_vertices.append(prev)
+            d -= 1
+            if d == 0:
+                break
+            server = state.server_of_client[prev]
+            assert server is not None and dist_server.get(server) == d - 1
+            reversed_vertices.append(server)
+            d -= 1
+        return AugPath(tuple(reversed(reversed_vertices)))
+
+
+class WalkBackSapEngine(WalkBack, SapEngine):
+    pass
+
+
+class WalkBackFastSapEngine(WalkBack, FastSapEngine):
+    pass
+
+
+def record_paths(engine: SapEngine) -> list[Optional[AugPath]]:
+    """Collect what each of the engine's searches returns."""
+    paths: list[Optional[AugPath]] = []
+    search = engine.shortest_aug_path
+
+    def recording(client: int) -> Optional[AugPath]:
+        path = search(client)
+        paths.append(path)
+        return path
+
+    engine.shortest_aug_path = recording
+    return paths
+
+
+def assert_lockstep(engine: SapEngine, reference: SapEngine, grow=None) -> None:
+    """Step both engines over every arrival and compare them after each one.
+
+    ``grow(client)``, if given, runs before each arrival (it may grow a
+    capacity list both engines share).
+    """
+    paths, ref_paths = record_paths(engine), record_paths(reference)
+    for c in range(engine.instance.client_count):
+        if grow is not None:
+            grow(c)
+        assert engine.step(c) == reference.step(c)
+        assert paths == ref_paths
+        paths.clear()
+        ref_paths.clear()
+        assert engine.state.server_of_client == reference.state.server_of_client
+        assert engine.state.clients_of_server == reference.state.clients_of_server
+        assert engine.dead == reference.dead
+    assert engine.log == reference.log
+
+
+class TestFirstDiscovererPaths:
+    """The path read off first discoverers equals the walk-back path."""
+
+    def test_second_layer_out_of_index_order(self):
+        # Client 0 sits on server 1 and client 1 on server 0, so client 2's
+        # search reaches the second layer as [1, 0].  Both clients have an
+        # unmatched edge into the free server 2; the path runs through the
+        # smaller one, client 0.
+        inst = ArrivalInstance.build(3, [[1, 2], [0, 2], [0, 1]])
+        engine, reference = SapEngine(inst), WalkBackSapEngine(inst)
+        for eng in (engine, reference):
+            eng.step(0)
+            eng.step(1)
+            assert eng.state.server_of_client == [1, 0]
+            eng.arrive(2)
+        path = engine.shortest_aug_path(2)
+        assert path.vertices == (2, 1, 0, 2)
+        assert reference.shortest_aug_path(2) == path
+
+    @pytest.mark.parametrize("max_capacity", [1, 2, 3, 4])
+    def test_random_fixed_capacities(self, max_capacity):
+        rng = random.Random(900 + max_capacity)
+        dead = 0
+        for _ in range(30):
+            servers = rng.randint(2, 40)
+            inst = gen_random(servers, rng.randint(1, 120), rng.randint(1, min(4, servers)),
+                              seed=rng.randrange(10**6))
+            caps = tuple(rng.randint(1, max_capacity) for _ in range(servers))
+            inst = ArrivalInstance(servers, inst.arrivals, caps)
+            engine, reference = SapEngine(inst), WalkBackSapEngine(inst)
+            assert_lockstep(engine, reference)
+            dead += len(engine.dead)
+        assert dead >= 50  # pruning must actually run
+
+    def test_shared_growable_capacities(self):
+        rng = random.Random(77)
+        for _ in range(30):
+            servers = rng.randint(2, 30)
+            inst = gen_random(servers, rng.randint(10, 120), rng.randint(1, min(3, servers)),
+                              seed=rng.randrange(10**6))
+            caps = [1] * servers  # one list, read by both engines
+            engine = SapEngine(inst, capacity=caps)
+            reference = WalkBackSapEngine(inst, capacity=caps)
+
+            def grow(client: int) -> None:
+                if client % 5 == 4:
+                    caps[rng.randrange(servers)] += 1
+
+            assert_lockstep(engine, reference, grow)
+            assert engine.dead is None and sum(caps) > servers
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: gen_star_chain(5),
+            lambda: gen_star_chain(12),
+            lambda: gen_star_chain(20),
+            lambda: gen_minmax_adversary(8),
+            lambda: gen_minmax_adversary(16),
+            lambda: with_capacity(gen_minmax_adversary(8), 2),
+        ],
+        ids=["star-chain-5", "star-chain-12", "star-chain-20", "adversary-8",
+             "adversary-16", "adversary-8-capacity-2"],
+    )
+    def test_gadgets(self, build):
+        inst = build()
+        assert_lockstep(SapEngine(inst), WalkBackSapEngine(inst))
+
+    @pytest.mark.parametrize(
+        "build, searched",
+        [
+            # far arrivals that find a path beyond the depth limit
+            (lambda: gen_star_chain(15), "brute_paths"),
+            # far arrivals that fail and prune
+            (lambda: gen_random(100, 160, 3, 1), "brute_failures"),
+        ],
+        ids=["star-chain-15", "random-160"],
+    )
+    def test_fast_engine_default_limit(self, build, searched):
+        inst = build()
+        engine, reference = FastSapEngine(inst), WalkBackFastSapEngine(inst)
+        assert_lockstep(engine, reference)
+        assert engine.prune_events == reference.prune_events
+        assert getattr(engine.log, searched) > 0
 
 
 def record_engines(monkeypatch, module) -> list[SapEngine]:

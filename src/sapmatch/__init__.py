@@ -10,6 +10,7 @@ instance generators, and independent validation oracles.
 from .balance import (
     BalancedFlow,
     Peel,
+    PrefixBalance,
     balanced_flow,
     effective_clients,
     effective_necessities,
@@ -70,6 +71,7 @@ __all__ = [
     "MatchState",
     "MaxFlowResult",
     "Peel",
+    "PrefixBalance",
     "RunLog",
     "SapEngine",
     "SinkDistanceTree",

@@ -8,10 +8,15 @@ set that maximizes |K| / |N(K)|.  Each maximum is found by a Dinkelbach
 iteration over max flows in a scaled integer demand network; the last flow
 of each search also supplies the peel's spread.  Neighbor lists must be
 nonempty and free of repeats.
+
+``balanced_flow`` computes one graph from scratch and is the reference.
+``PrefixBalance`` follows an arrival stream: it keeps one demand network,
+and its flow, across prefixes, and re-peels only what an arrival can change.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -232,6 +237,149 @@ def balanced_flow(adjacency: Adjacency, server_count: int | None = None) -> Bala
         remaining = survivors
 
     return BalancedFlow(necessity, edge_flow, tuple(peels))
+
+
+class PrefixBalance:
+    """Balanced necessities and peels of every prefix of one arrival stream.
+
+    One demand network serves the whole run: source -> client (D units),
+    client -> server (2D, never saturated, so a client that ships all it has
+    to one server still reaches the sink through it) and server -> sink (the
+    server's necessity times D), at the scale D = lcm(1..S).  Every ratio is
+    |K| / |N(K)| with |N(K)| <= S, so every capacity is an integer.  Between
+    arrivals the network holds a flow that saturates every arc at the source
+    and at the sink; such a flow is a balanced spread, so each peel ships
+    only into its own servers.
+
+    ``add(client)`` admits the next client; a client with no neighbors
+    carries no flow and changes nothing.  Let g be the least necessity among
+    the client's neighbors.  A peel of ratio below g keeps its clients,
+    servers and flow (the locality law): the clients of the peels of ratio
+    at least g, plus the new one, have every neighbor among those peels'
+    servers and the new client's neighbors, and re-peeling that region gives
+    ratios of at least g.  Each peel of the region is a Dinkelbach search
+    (see ``_densest``) confined to the clients and servers not yet peeled:
+
+    - It starts at the best ratio among candidate client sets: each old peel,
+      and the union of the old peels down to it plus the new client, all cut
+      down to what is left.  Any ratio that a set attains is a valid start.
+    - The first search keeps the previous prefix's flow.  Its start is at
+      least the old top ratio, so server capacities only rise.  Each later
+      search first clears the flow of the clients still to peel, which is
+      all that reaches its servers: the peels found so far fill their own
+      servers exactly.
+    - Within a search a larger ratio only raises capacities, and each max
+      flow augments the flow already there.
+
+    The peels left behind are saturated and ship nothing into the region,
+    and the region's clients have no arc out of it, so no augmenting path
+    leaves the region: each max flow on the whole network is the region's.
+    """
+
+    def __init__(self, instance: ArrivalInstance):
+        self.instance = instance
+        servers = instance.server_count
+        self.scale = math.lcm(*range(1, servers + 1))
+        self.net = FlowNetwork(2 + servers + instance.client_count, 0, 1)
+        self._first_client = 2 + servers  # client c is node _first_client + c
+        self._sink_arc = [self.net.add_arc(2 + s, 1, 0) for s in range(servers)]
+        self._client_arcs: dict[int, list[int]] = {}
+        self.adjacency: dict[int, tuple[int, ...]] = {}
+        self.necessity: dict[int, Fraction] = {s: Fraction(0) for s in range(servers)}
+        self._units = [0] * servers  # necessity * scale, to compare in integers
+        self.peels: tuple[Peel, ...] = ()
+        self.arrived = 0
+
+    def max_necessity(self) -> Fraction:
+        return self.peels[0].ratio if self.peels else Fraction(0)
+
+    def add(self, client: int) -> tuple[int, ...]:
+        """Admit the next client; returns the servers whose necessity changed, ascending."""
+        if client != self.arrived:
+            raise ValueError(f"clients arrive in order; expected {self.arrived}, got {client}")
+        self.arrived += 1
+        neighbors = self.instance.neighbors(client)
+        if not neighbors:
+            return ()
+        gate = min(self.necessity[s] for s in neighbors)
+        split = 0
+        while split < len(self.peels) and self.peels[split].ratio >= gate:
+            split += 1
+        upper, lower = self.peels[:split], self.peels[split:]
+
+        net, scale, sink_arc = self.net, self.scale, self._sink_arc
+        first = self._first_client
+        node = first + client
+        self.adjacency[client] = neighbors
+        self._client_arcs[client] = [net.add_arc(0, node, scale)] + [
+            net.add_arc(node, 2 + s, 2 * scale) for s in neighbors
+        ]
+        clients = {client}.union(*(p.clients for p in upper))
+        servers = set(neighbors).union(*(p.servers for p in upper))
+        demand = scale * len(self.adjacency)
+        found: list[Peel] = []
+        while clients:
+            sinks = [sink_arc[s] for s in servers]
+            if found:
+                for c in clients:
+                    net.clear_flow(self._client_arcs[c])
+                net.clear_flow(sinks)
+            lam = self._start(upper, client, clients, servers)
+            while True:
+                net.set_capacity(sinks, lam.numerator * (scale // lam.denominator))
+                result = max_flow(net)
+                if result.value == demand:
+                    break
+                side = result.min_cut_source_side()
+                better = [c for c in clients if first + c in side]
+                if not better:
+                    raise InvariantViolation("an unsaturated demand network left no client on the source side")
+                ratio = Fraction(len(better), len(_neighborhood(self.adjacency, better) & servers))
+                if not ratio > lam:
+                    raise InvariantViolation("the Dinkelbach ratio failed to increase")
+                lam = ratio
+            side = result.max_cut_source_side()
+            tight = frozenset(c for c in clients if first + c in side)
+            peel_servers = frozenset(_neighborhood(self.adjacency, tight) & servers)
+            if not tight or Fraction(len(tight), len(peel_servers)) != lam:
+                raise InvariantViolation("extracted set does not attain the maximal ratio")
+            if found and not lam < found[-1].ratio:
+                raise InvariantViolation("peeling must produce strictly decreasing ratios")
+            found.append(Peel(lam, tight, peel_servers))
+            clients -= tight
+            servers -= peel_servers
+        if servers or (lower and not lower[0].ratio < found[-1].ratio):
+            raise InvariantViolation("a re-peeled region does not sit above the peels it kept")
+
+        changed = []
+        for peel in found:
+            units = peel.ratio.numerator * (scale // peel.ratio.denominator)
+            for s in peel.servers:
+                if self._units[s] != units:
+                    if self._units[s] > units:
+                        raise InvariantViolation(f"necessity of server {s} fell")
+                    self._units[s] = units
+                    self.necessity[s] = peel.ratio
+                    changed.append(s)
+        self.peels = (*found, *lower)
+        return tuple(sorted(changed))
+
+    def _start(self, upper, client: int, clients: set[int], servers: set[int]) -> Fraction:
+        """The best ratio among the candidate client sets still left to peel."""
+        union = [client] if client in clients else []
+        hood = set(self.adjacency[client]) & servers if union else set()
+        best = (len(union), len(hood)) if union else (0, 1)
+        for peel in upper:
+            kept = [c for c in peel.clients if c in clients]
+            if not kept:
+                continue
+            kept_hood = _neighborhood(self.adjacency, kept) & servers
+            union += kept
+            hood |= kept_hood
+            for size, hood_size in ((len(kept), len(kept_hood)), (len(union), len(hood))):
+                if size * best[1] > best[0] * hood_size:
+                    best = (size, hood_size)
+        return Fraction(*best)
 
 
 def effective_clients(instance: ArrivalInstance, prefix_len: int | None = None) -> frozenset[int]:

@@ -12,7 +12,7 @@ import sys
 from bisect import bisect_left
 from fractions import Fraction
 
-from .balance import balanced_flow
+from .balance import PrefixBalance
 from .errors import InvariantViolation
 from .extensions import run_capacitated, run_minmax, run_semi_matching
 from .fast_engine import run_fast_sap
@@ -60,19 +60,17 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def _analysis_columns(instance: ArrivalInstance) -> list[tuple[Fraction, int]]:
     """(maximum necessity, optimal maximum load) after every arrival.
 
-    The optimum is read off one min-max pass: it is the number of epochs
-    opened so far.  Capacities play no part in either column.
+    The necessity comes from one ``PrefixBalance`` stream, the optimum from
+    one min-max pass: it is the number of epochs opened so far.  Capacities
+    play no part in either column.
     """
     _, _, epochs = run_minmax(ArrivalInstance(instance.server_count, instance.arrivals))
     starts = [epoch.start_arrival for epoch in epochs]
+    balance = PrefixBalance(instance)
     columns = []
     for t in range(1, instance.client_count + 1):
-        adjacency = instance.prefix_adjacency(t)
-        if adjacency:
-            alpha = balanced_flow(adjacency).max_necessity()
-        else:
-            alpha = Fraction(0)
-        columns.append((alpha, bisect_left(starts, t)))
+        balance.add(t - 1)
+        columns.append((balance.max_necessity(), bisect_left(starts, t)))
     return columns
 
 

@@ -9,17 +9,17 @@ assignment; it stays only as a test reference (``CopyMap`` in ``oracles``).
 Min-max mode keeps the maximum load optimal: an arrival with no augmenting
 path at the current optimum opens a new "epoch" (every server gains one
 slot), any other augments to an underloaded server.  Semi-matching mode
-derives a per-server allowance from the exact balanced necessities and
-matches within those allowances.
+derives a per-server allowance from the exact balanced necessities, which
+one ``PrefixBalance`` stream keeps up to date, and matches within those
+allowances.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .balance import _demand_network, balanced_flow
+from .balance import PrefixBalance, _demand_network
 from .errors import InvariantViolation
 from .flownet import max_flow
 from .instance import ArrivalInstance
@@ -140,13 +140,19 @@ def run_minmax(instance: ArrivalInstance) -> tuple[MatchState, RunLog, list[Epoc
 def run_semi_matching(
     instance: ArrivalInstance, epsilon: Fraction | int | str
 ) -> tuple[MatchState, RunLog]:
-    """Match within allowances ceil((1+eps) * necessity), recomputed per arrival.
+    """Match within allowances ceil((1+eps) * necessity), kept up to date per arrival.
 
-    Necessities only grow as clients arrive, so allowances never shrink and
-    previously placed clients always stay within them.  Searching with the
-    allowance as the server capacity is the same as unit matching in a graph
-    with one copy per allowance slot: copies of a server are interchangeable,
-    so path lengths and load totals agree.
+    ``PrefixBalance`` follows the balanced necessities from prefix to
+    prefix, and only the servers whose necessity it changed get a new
+    allowance.  Necessities only grow as clients arrive, so allowances never
+    shrink and previously placed clients always stay within them.  Searching
+    with the allowance as the server capacity is the same as unit matching in
+    a graph with one copy per allowance slot: copies of a server are
+    interchangeable, so path lengths and load totals agree.
+
+    Loads are checked in O(1) per arrival: an augmentation raises only its
+    end server's load, so it suffices that this server ends within its
+    allowance.  One full scan runs at the end.
     """
     eps = Fraction(epsilon)
     if eps <= 0:
@@ -158,21 +164,28 @@ def run_semi_matching(
 
     caps = [0] * instance.server_count
     engine = SapEngine(instance, capacity=caps)
+    balance = PrefixBalance(instance)
     factor = 1 + eps
     for client in range(instance.client_count):
-        flow = balanced_flow(
-            instance.prefix_adjacency(client + 1), server_count=instance.server_count
-        )
-        for s in range(instance.server_count):
-            allowance = math.ceil(factor * flow.necessity[s])
+        for s in balance.add(client):
+            need = balance.necessity[s]
+            # ceil(factor * need) in integers: a Fraction product per server costs more than the search
+            allowance = -(-factor.numerator * need.numerator // (factor.denominator * need.denominator))
             if allowance < caps[s]:
                 raise InvariantViolation(f"allowance of server {s} tried to shrink")
             caps[s] = allowance
-        if not engine.step(client).matched:
+        engine.arrive(client)
+        path = engine.shortest_aug_path(client)
+        if path is None:
             raise InvariantViolation(
                 f"client {client} has no augmenting path inside the allowances"
             )
-        for s in range(instance.server_count):
-            if engine.state.load(s) > caps[s]:
-                raise InvariantViolation(f"server {s} exceeds its allowance")
+        engine.augment(path)
+        engine.log.record(client, path.edge_count)
+        end = path.vertices[-1]
+        if engine.state.load(end) > caps[end]:
+            raise InvariantViolation(f"server {end} exceeds its allowance")
+    for s in range(instance.server_count):
+        if engine.state.load(s) > caps[s]:
+            raise InvariantViolation(f"server {s} exceeds its allowance")
     return engine.state, engine.log

@@ -4,10 +4,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterable
 
 
 class FlowNetwork:
-    """A directed network with integer capacities, one source, one sink."""
+    """A directed network with integer capacities, one source, one sink, and a flow.
+
+    The flow starts at zero.  ``max_flow`` augments it in place, so a network
+    whose capacities change can be solved again from the flow it holds.
+    """
 
     def __init__(self, node_count: int, source: int, sink: int):
         if not (0 <= source < node_count and 0 <= sink < node_count) or source == sink:
@@ -19,6 +24,8 @@ class FlowNetwork:
         self.head: list[list[int]] = [[] for _ in range(node_count)]
         self.to: list[int] = []
         self.cap: list[int] = []
+        # Residual capacities: the flow on arc i is cap[i] - res[i].
+        self.res: list[int] = []
 
     def add_arc(self, u: int, v: int, capacity: int) -> int:
         if capacity < 0:
@@ -28,113 +35,139 @@ class FlowNetwork:
         arc_id = len(self.to)
         self.to.extend((v, u))
         self.cap.extend((capacity, 0))
+        self.res.extend((capacity, 0))
         self.head[u].append(arc_id)
         self.head[v].append(arc_id + 1)
         return arc_id
 
+    def set_capacity(self, arc_ids: Iterable[int], capacity: int) -> None:
+        """Give every listed arc this capacity and keep its flow, which must still fit."""
+        cap, res = self.cap, self.res
+        for arc in arc_ids:
+            if not 0 <= cap[arc] - res[arc] <= capacity:
+                raise ValueError("the new capacity is below the arc's flow")
+            res[arc] += capacity - cap[arc]
+            cap[arc] = capacity
+
+    def clear_flow(self, arc_ids: Iterable[int]) -> None:
+        """Zero the flow on every listed arc; the caller keeps flow conserved around them."""
+        cap, res = self.cap, self.res
+        for arc in arc_ids:
+            res[arc] = cap[arc]
+            res[arc ^ 1] = cap[arc ^ 1]
+
 
 @dataclass
 class MaxFlowResult:
+    """The value of a network's flow, and views of it valid until the network changes."""
+
     value: int
     _net: FlowNetwork
-    _residual: list[int]
-    _original: list[int]
 
     def arc_flow(self, arc_id: int) -> int:
-        return self._original[arc_id] - self._residual[arc_id]
+        return self._net.cap[arc_id] - self._net.res[arc_id]
 
     def min_cut_source_side(self) -> set[int]:
         """The inclusion-minimal min cut: nodes residual-reachable from the source."""
-        seen = {self._net.source}
+        net = self._net
+        seen = {net.source}
         queue = deque(seen)
         while queue:
             u = queue.popleft()
-            for arc in self._net.head[u]:
-                v = self._net.to[arc]
-                if self._residual[arc] > 0 and v not in seen:
+            for arc in net.head[u]:
+                v = net.to[arc]
+                if net.res[arc] > 0 and v not in seen:
                     seen.add(v)
                     queue.append(v)
         return seen
 
     def max_cut_source_side(self) -> set[int]:
         """The inclusion-maximal min cut: complement of the nodes that still reach the sink."""
-        reaches = {self._net.sink}
+        net = self._net
+        reaches = {net.sink}
         queue = deque(reaches)
         while queue:
             v = queue.popleft()
-            for arc in self._net.head[v]:
-                # arc^1 runs to[arc] -> v; it has residual iff cap[arc^1] > 0
-                u = self._net.to[arc]
-                if self._residual[arc ^ 1] > 0 and u not in reaches:
+            for arc in net.head[v]:
+                # arc^1 runs to[arc] -> v; it has residual iff res[arc^1] > 0
+                u = net.to[arc]
+                if net.res[arc ^ 1] > 0 and u not in reaches:
                     reaches.add(u)
                     queue.append(u)
-        return set(range(self._net.node_count)) - reaches
+        return set(range(net.node_count)) - reaches
 
 
 def max_flow(net: FlowNetwork) -> MaxFlowResult:
-    """Dinic's algorithm: repeated level graphs, each saturated by a blocking flow."""
-    cap = list(net.cap)
+    """Dinic's algorithm on the network's own flow: level graphs, each saturated by a blocking flow.
+
+    The flow is augmented in place, from zero on a fresh network.  The value
+    returned is that of the whole flow, not only of what this call added.
+    """
+    res = net.res
     to = net.to
     head = net.head
     source, sink = net.source, net.sink
-    level = [0] * net.node_count
+    unlabelled = [-1] * net.node_count
+    level = list(unlabelled)
     it = [0] * net.node_count
-    total = 0
 
     def bfs() -> bool:
-        for i in range(net.node_count):
-            level[i] = -1
+        # Levels past the sink's lie on no shortest path, so stop once it is labelled.
+        level[:] = unlabelled
         level[source] = 0
         queue = deque([source])
         while queue:
             u = queue.popleft()
+            deeper = level[u] + 1
             for arc in head[u]:
                 v = to[arc]
-                if cap[arc] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
+                if res[arc] > 0 and level[v] < 0:
+                    level[v] = deeper
+                    if v == sink:
+                        return True
                     queue.append(v)
-        return level[sink] >= 0
+        return False
 
-    def blocking_dfs() -> int:
+    def blocking_dfs() -> None:
         # Iterative DFS along level-increasing residual arcs.
-        pushed = 0
         path: list[int] = []
         u = source
         while True:
             if u == sink:
-                bottleneck = min(cap[a] for a in path)
+                bottleneck = min([res[a] for a in path])
                 for a in path:
-                    cap[a] -= bottleneck
-                    cap[a ^ 1] += bottleneck
-                pushed += bottleneck
+                    res[a] -= bottleneck
+                    res[a ^ 1] += bottleneck
                 # Retreat to the first saturated arc on the path.
                 for idx, a in enumerate(path):
-                    if cap[a] == 0:
+                    if res[a] == 0:
                         del path[idx:]
                         break
                 u = to[path[-1]] if path else source
                 continue
-            advanced = False
-            while it[u] < len(head[u]):
-                arc = head[u][it[u]]
-                v = to[arc]
-                if cap[arc] > 0 and level[v] == level[u] + 1:
-                    path.append(arc)
-                    u = v
-                    advanced = True
+            arcs = head[u]
+            end = len(arcs)
+            deeper = level[u] + 1
+            i = it[u]
+            while i < end:
+                arc = arcs[i]
+                if res[arc] > 0 and level[to[arc]] == deeper:
                     break
-                it[u] += 1
-            if advanced:
+                i += 1
+            it[u] = i
+            if i < end:
+                path.append(arc)
+                u = to[arc]
                 continue
             level[u] = -1  # dead end in this phase
             if not path:
-                return pushed
+                return
             last = path.pop()
             u = to[last ^ 1]
             it[u] += 1
 
     while bfs():
-        for i in range(net.node_count):
-            it[i] = 0
-        total += blocking_dfs()
-    return MaxFlowResult(total, net, cap, list(net.cap))
+        it[:] = [0] * net.node_count
+        blocking_dfs()
+    cap = net.cap
+    return MaxFlowResult(sum(cap[arc] - res[arc] for arc in head[source]), net)

@@ -28,6 +28,7 @@ from sapmatch import (
     effective_clients,
     effective_necessities,
     gen_minmax_adversary,
+    gen_random,
     gen_star_chain,
     hopcroft_karp_size,
     oracle_balanced_flow,
@@ -301,7 +302,55 @@ def test_c10_semi_matching(eps):
     report(10, f"eps={eps}: 50 instances within allowance and path budget")
 
 
+def _with_capacity(instance: ArrivalInstance, units: int) -> ArrivalInstance:
+    return ArrivalInstance(instance.server_count, instance.arrivals, (units,) * instance.server_count)
+
+
+# Run logs written out as data: each arrival's path edge count (None when
+# unmatched) and each client's final server.  run_sap and run_capacitated are
+# one engine, so comparing them cannot catch a change in tie-breaking; these
+# can.  Dropping the sort of each client layer, or taking the first free
+# server found instead of the smallest, changes both random logs; taking
+# the largest free server changes all four.
+C11_PINNED = (
+    (
+        "gen_random(10, 16, 3, 24)",
+        gen_random(10, 16, 3, 24),
+        [1, 1, 1, 1, 3, 1, 3, 1, 5, 3, None, None, None, None, None, None],
+        [6, 3, 2, 8, 1, 9, 7, 5, 4, 0, None, None, None, None, None, None],
+    ),
+    (
+        "gen_random(6, 14, 3, 14) with capacity 2",
+        _with_capacity(gen_random(6, 14, 3, 14), 2),
+        [1, 1, 1, 1, 1, 1, 1, 1, 1, 3, 1, 3, None, None],
+        [0, 2, 5, 2, 3, 1, 1, 4, 4, 0, 5, 3, None, None],
+    ),
+    (
+        "gen_star_chain(5)",
+        gen_star_chain(5),
+        [1, 1, 3, 1, 1, 5, 1, 1, 1, 7, 1, 1, 1, 1, 9],
+        [0, 2, 1, 5, 4, 3, 9, 8, 7, 6, 14, 13, 12, 11, 10],
+    ),
+    (
+        "gen_minmax_adversary(4) with capacity 2",
+        _with_capacity(gen_minmax_adversary(4), 2),
+        [1, 1, 1, 1, 1, 1, 1, 1] + [None] * 8,
+        [0, 0, 1, 1, 2, 2, 3, 3] + [None] * 8,
+    ),
+)
+
+
 def test_c11_capacitated_reduction():
+    # pinned run logs, with capacities and without
+    for label, inst, path_edges, servers in C11_PINNED:
+        if inst.capacities:
+            runs = [run_capacitated(inst)]
+        else:
+            runs = [run_sap(inst), run_capacitated(_with_capacity(inst, 1))]
+        for state, log in runs:
+            assert [r.path_edges for r in log.records] == path_edges, label
+            assert state.server_of_client == servers, label
+            assert log.total_replacements == sum((e - 1) // 2 for e in path_edges if e), label
     # all capacities 1: byte-identical run log
     for inst in instance_corpus(10, seed=1111, max_clients=40, max_servers=15):
         unit = ArrivalInstance(

@@ -12,12 +12,16 @@ from hypothesis import strategies as st
 
 from sapmatch import (
     ArrivalInstance,
+    PrefixBalance,
     SapEngine,
     balanced_flow,
     brute_max_ratio,
     effective_clients,
     effective_necessities,
     gen_complete,
+    gen_minmax_adversary,
+    gen_random,
+    gen_star_chain,
     hopcroft_karp_size,
     limit_feasible,
     max_ratio,
@@ -241,6 +245,78 @@ class TestFullMatchingCharacterization:
             assert full == (size == len(clients))
 
 
+def assert_stream_matches(instance: ArrivalInstance) -> None:
+    """PrefixBalance against a from-scratch balanced_flow on every prefix."""
+    stream = PrefixBalance(instance)
+    for t in range(1, instance.client_count + 1):
+        before = dict(stream.necessity)
+        changed = stream.add(t - 1)
+        adjacency = instance.prefix_adjacency(t)
+        if adjacency:
+            want = balanced_flow(adjacency, server_count=instance.server_count)
+            assert stream.necessity == want.necessity, t
+            assert stream.peels == want.peels, t
+            assert stream.max_necessity() == want.max_necessity()
+        else:
+            assert stream.peels == () and stream.max_necessity() == 0
+        assert changed == tuple(s for s in sorted(before) if before[s] != stream.necessity[s])
+
+
+class TestPrefixBalance:
+    def test_random_draws(self):
+        for seed in range(40):
+            assert_stream_matches(gen_random(16, 32, 3, seed))
+
+    def test_star_chains_and_adversary(self):
+        for depth in range(1, 11):
+            assert_stream_matches(gen_star_chain(depth))
+        assert_stream_matches(gen_minmax_adversary(8))
+
+    def test_corpus_with_isolated_clients(self):
+        for inst in instance_corpus(60, seed=51, max_clients=20, max_servers=8, min_degree=0):
+            assert_stream_matches(inst)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_large_draws(self, seed):
+        assert_stream_matches(gen_random(128, 256, 3, seed))
+
+    def test_isolated_client_leaves_the_stream_unchanged(self):
+        inst = ArrivalInstance.build(3, [[0, 1], [], [1], [], [2]])
+        stream = PrefixBalance(inst)
+        stream.add(0)
+        peels, necessity = stream.peels, dict(stream.necessity)
+        assert stream.add(1) == ()
+        assert stream.peels is peels and stream.necessity == necessity
+        assert stream.add(2) == (0, 1)
+        assert stream.add(3) == ()
+        assert stream.add(4) == (2,)
+        assert stream.necessity == {0: 1, 1: 1, 2: 1}
+
+    def test_clients_arrive_in_order(self):
+        stream = PrefixBalance(gen_random(4, 6, 2, 1))
+        with pytest.raises(ValueError, match="in order"):
+            stream.add(1)
+        stream.add(0)
+        with pytest.raises(ValueError, match="in order"):
+            stream.add(0)
+
+    def test_fewer_flows_than_from_scratch(self, flow_calls):
+        stream_flows = scratch_flows = 0
+        for seed in range(8):
+            inst = gen_random(16, 32, 3, seed)
+            flow_calls.clear()
+            stream = PrefixBalance(inst)
+            for c in range(inst.client_count):
+                stream.add(c)
+            stream_flows += flow_calls["balance"]
+            flow_calls.clear()
+            for t in range(1, inst.client_count + 1):
+                balanced_flow(inst.prefix_adjacency(t))
+            scratch_flows += flow_calls["balance"]
+        # 373 against 525 on these draws; every arrival takes at least one.
+        assert 256 <= stream_flows <= 400 < scratch_flows
+
+
 def _grid_load_vectors(adjacency, servers, units):
     """All per-server load vectors realizable with every client split into `units` parts."""
     states = {tuple([0] * len(servers)): None}
@@ -334,3 +410,6 @@ def test_property_balanced_flow_agrees_with_oracle(raw):
     flow = balanced_flow(adjacency)
     flow.check(adjacency)
     assert flow.necessity == oracle_balanced_flow(adjacency)
+    # The same clients as an arrival stream, in ascending order: every prefix.
+    instance = ArrivalInstance.build(5, [adjacency[c] for c in sorted(adjacency)])
+    assert_stream_matches(instance)

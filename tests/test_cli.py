@@ -10,7 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import sapmatch.matching
-from sapmatch import ArrivalInstance, gen_minmax_adversary, gen_random, opt_load
+from sapmatch import ArrivalInstance, balanced_flow, gen_minmax_adversary, gen_random, opt_load
 from sapmatch.cli import _analysis_columns, main
 from sapmatch.verify import verify_instance
 from sapmatch.textio import format_instance
@@ -118,9 +118,15 @@ class TestRun:
         instances.append(ArrivalInstance(base.server_count, base.arrivals, (2,) * base.server_count))
         for instance in instances:
             flow_calls.clear()
-            opts = [opt for _, opt in _analysis_columns(instance)]
+            columns = _analysis_columns(instance)
             assert flow_calls["extensions"] == 0
-            assert opts == [opt_load(instance, t) for t in range(1, instance.client_count + 1)]
+            prefixes = range(1, instance.client_count + 1)
+            assert [opt for _, opt in columns] == [opt_load(instance, t) for t in prefixes]
+            # The alpha column comes off one stream; isolated arrivals leave it as it was.
+            assert [alpha for alpha, _ in columns] == [
+                balanced_flow(adjacency).max_necessity() if adjacency else 0
+                for adjacency in map(instance.prefix_adjacency, prefixes)
+            ]
         inst_file = tmp_path / "cap.txt"
         inst_file.write_text(format_instance(instances[-1]))
         flow_calls.clear()

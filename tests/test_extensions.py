@@ -15,6 +15,7 @@ from sapmatch import (
     CopyMap,
     InvariantViolation,
     MatchState,
+    PrefixBalance,
     SapEngine,
     balanced_flow,
     gen_complete,
@@ -374,6 +375,26 @@ class TestSemiMatching:
     def test_isolated_client_rejected(self):
         with pytest.raises(ValueError):
             run_semi_matching(ArrivalInstance.build(1, [[0], []]), Fraction(1))
+
+    def test_overload_is_caught(self, monkeypatch):
+        # A capacity test off by one lets client 1 onto server 0, whose
+        # allowance is ceil(2 * 2/20) = 1; only that end server is checked.
+        monkeypatch.setattr(
+            MatchState, "is_free", lambda self, s: self.load(s) <= self.capacity[s]
+        )
+        with pytest.raises(InvariantViolation, match="server 0 exceeds its allowance"):
+            run_semi_matching(gen_complete(10, 20), Fraction(1))
+
+    def test_runs_one_stream_and_no_other_flow(self, flow_calls):
+        for inst in instance_corpus(10, seed=95, max_clients=16, max_servers=8):
+            flow_calls.clear()
+            stream = PrefixBalance(inst)
+            for c in range(inst.client_count):
+                stream.add(c)
+            alone = flow_calls["balance"]
+            flow_calls.clear()
+            run_semi_matching(inst, Fraction(1, 2))
+            assert flow_calls == {"balance": alone}
 
     @pytest.mark.parametrize("eps", [Fraction(1, 2), Fraction(1)])
     def test_allowance_and_path_bounds(self, eps):

@@ -9,9 +9,16 @@ iteration over max flows in a scaled integer demand network; the last flow
 of each search also supplies the peel's spread.  Neighbor lists must be
 nonempty and free of repeats.
 
-``balanced_flow`` computes one graph from scratch and is the reference.
-``PrefixBalance`` follows an arrival stream: it keeps one demand network,
-and its flow, across prefixes, and re-peels only what an arrival can change.
+``balanced_flow`` computes one graph from scratch and is the reference; it,
+``max_ratio`` and ``limit_feasible`` build a ``FlowNetwork`` for each flow.
+``PrefixBalance`` follows an arrival stream with a kernel of its own,
+``DemandFlow``, which shares no code with them, so comparing the two checks
+both.  It keeps the flow in the bipartite graph, as the units each client
+ships to each server, across prefixes.  Its arcs are implicit: a client's
+source arc is its deficit and a server's sink arc its capacity minus its
+load, while a client -> server arc needs no capacity, since a client ships
+at most its own demand.  Each flow stays inside the region an arrival can
+change, and only that region is re-peeled.
 """
 
 from __future__ import annotations
@@ -239,17 +246,273 @@ def balanced_flow(adjacency: Adjacency, server_count: int | None = None) -> Bala
     return BalancedFlow(necessity, edge_flow, tuple(peels))
 
 
+_OFF = -2  # the level of a server outside the region, or of a dead end in a blocking flow
+
+
+class DemandFlow:
+    """A flow in the demand network of a bipartite graph, held in the graph itself.
+
+    The network runs source -> client -> server -> sink, and no arc is stored:
+
+    - A client's source arc has capacity ``scale``; what is left of it is
+      the client's deficit, ``scale`` minus the units the client has sent.
+    - A client -> server arc has no capacity.  The client ships at most
+      ``scale`` units in all, so any bound of at least that much allows the
+      same flows, and an unbounded arc never crosses a min cut.  Its
+      residual arc is always there.
+    - A server's sink arc has capacity ``cap[s]``; what is left of it is
+      ``cap[s]`` minus the server's load.
+
+    The flow is the units each client ships to each server (``ships``,
+    positive entries only) and the same units per server (``fed``).  The
+    residual arc server -> client exists exactly while the client ships
+    into the server.
+
+    ``max_flow`` and ``stuck`` work on a region: a client set and a server
+    set.  They never leave it: a server outside is not entered, and a server
+    is left only for the clients that ship into it.  That is exact when no
+    client outside the region ships into its servers and no residual path
+    through a server outside comes back or reaches room; ``PrefixBalance``
+    says why its regions meet that.
+    """
+
+    def __init__(self, server_count: int, scale: int):
+        self.scale = scale
+        self.neighbors: list[tuple[int, ...]] = []
+        self.ships: list[dict[int, int]] = []
+        self.sent: list[int] = []
+        self.fed: list[dict[int, int]] = [{} for _ in range(server_count)]
+        self.clients_of: list[list[int]] = [[] for _ in range(server_count)]
+        self.load = [0] * server_count
+        self.cap = [0] * server_count
+
+    def add_client(self, neighbors: tuple[int, ...]) -> int:
+        """Admit a client that ships nothing yet; returns its index."""
+        client = len(self.neighbors)
+        self.neighbors.append(neighbors)
+        self.ships.append({})
+        self.sent.append(0)
+        for s in neighbors:
+            self.clients_of[s].append(client)
+        return client
+
+    def clear(self, clients) -> None:
+        """Take back every unit the listed clients ship."""
+        fed, load = self.fed, self.load
+        for c in clients:
+            out = self.ships[c]
+            for s, units in out.items():
+                del fed[s][c]
+                load[s] -= units
+            out.clear()
+            self.sent[c] = 0
+
+    def raise_caps(self, servers, units: int) -> None:
+        """Give every listed server this capacity; the flow it holds must fit."""
+        load, cap = self.load, self.cap
+        for s in servers:
+            if load[s] > units:
+                raise InvariantViolation(f"server {s} holds more than its new capacity")
+            cap[s] = units
+
+    def max_flow(self, clients, servers) -> tuple[int, list[int], int]:
+        """Augment the flow to a maximum in the region, one blocking flow per phase.
+
+        Each phase labels levels by a search from the region's clients
+        short of units.  The search enters only region servers, goes from a
+        server only to the clients that ship into it, and runs to the end:
+        a phase fills every level-ascending path to any server with room,
+        not only the shortest ones.  That still blocks every shortest path,
+        so the phases are bounded as in Dinic's algorithm, and the unit each
+        arrival adds, which spreads over servers at every depth, takes one
+        phase instead of one per depth.  Returns the units still missing
+        and what the last search reached: its clients, which are the client
+        side of the minimal min cut, and the number of its servers, which is
+        that side's neighborhood in the region.
+        """
+        scale, neighbors, fed, sent, load, cap = (
+            self.scale, self.neighbors, self.fed, self.sent, self.load, self.cap
+        )
+        blank = [_OFF] * len(load)
+        for s in servers:
+            blank[s] = -1
+        while True:
+            roots = [c for c in clients if sent[c] < scale]
+            # Clients take the even levels and servers the odd ones.
+            slevel = blank[:]
+            clevel = [-1] * len(sent)
+            for c in roots:
+                clevel[c] = 0
+            reached = roots[:]
+            frontier = roots
+            depth = 1
+            labelled = 0
+            deepest = 0  # the deepest level of a server with room
+            while frontier:
+                layer = []
+                for c in frontier:
+                    for s in neighbors[c]:
+                        if slevel[s] == -1:
+                            slevel[s] = depth
+                            layer.append(s)
+                            if load[s] < cap[s]:
+                                deepest = depth
+                labelled += len(layer)
+                frontier = []
+                for s in layer:
+                    for c in fed[s]:
+                        if clevel[c] < 0:
+                            clevel[c] = depth + 1
+                            frontier.append(c)
+                reached += frontier
+                depth += 2
+            if not deepest:
+                return sum(scale - sent[c] for c in roots), reached, labelled
+            if not self._block(roots, clevel, slevel, deepest):
+                raise InvariantViolation("a blocking flow found no augmenting path the level search saw")
+
+    def _block(self, roots: list[int], clevel: list[int], slevel: list[int], deepest: int) -> int:
+        """Fill every level-ascending path from the roots to a server with room.
+
+        Each root descends on an explicit stack of clients, since levels
+        reach twice the server count; the client at depth k has level 2k.
+        Each holds the units it may still pass on.  It takes its servers
+        one level up in turn: it fills the server's room, then passes what
+        is left through the server to a client one level further that feeds
+        it, at most what that client ships into it, and so on down the
+        stack.  A client returns what went through it and is passed to the
+        next feeder or server, so one descent pushes along several
+        branches.  A client that returns less than it was offered, and a
+        server with no room and no feeder left, have no way on and are dead
+        for the rest of the phase; so is a server with no room at
+        ``deepest``, the deepest level that holds a server with room.
+        """
+        scale, neighbors, ships, fed, sent, load, cap = (
+            self.scale, self.neighbors, self.ships, self.fed, self.sent, self.load, self.cap
+        )
+        next_server: dict[int, int] = {}  # client -> index of the neighbor it passes units to
+        next_client = [0] * len(load)  # server -> index into its feeders
+        feeders: list = [None] * len(load)  # server -> the clients feeding it at its first visit
+        total = 0
+        for root in roots:
+            nodes = [root]
+            offer = [scale - sent[root]]  # what each client on the stack was offered
+            left = offer[:]  # what it still has to pass on
+            while True:
+                c = nodes[-1]
+                units = left[-1]
+                if units:
+                    want = 2 * len(nodes) - 1  # the level of the servers it passes to
+                    nbrs = neighbors[c]
+                    end = len(nbrs)
+                    i = next_server.get(c, 0)
+                    below = None
+                    while i < end:
+                        s = nbrs[i]
+                        if slevel[s] == want:
+                            into = fed[s]
+                            room = cap[s] - load[s]
+                            if room > 0:
+                                if room > units:
+                                    room = units
+                                load[s] += room
+                                out = ships[c]
+                                out[s] = out.get(s, 0) + room
+                                into[c] = into.get(c, 0) + room
+                                units -= room
+                                if not units:
+                                    break
+                            if want == deepest:
+                                slevel[s] = _OFF
+                                i += 1
+                                continue
+                            clients = feeders[s]
+                            if clients is None:
+                                # A client that starts feeding it in this phase sits one level
+                                # before it, so the snapshot misses no feeder one level after it.
+                                clients = feeders[s] = list(into)
+                            j = next_client[s]
+                            last = len(clients)
+                            while j < last:
+                                below = clients[j]
+                                if clevel[below] == want + 1 and below in into:
+                                    break
+                                j += 1
+                            next_client[s] = j
+                            if j < last:
+                                break
+                            below = None
+                            slevel[s] = _OFF
+                        i += 1
+                    next_server[c] = i
+                    left[-1] = units
+                    if below is not None:
+                        feed = into[below]
+                        if feed < units:
+                            units = feed
+                        nodes.append(below)
+                        offer.append(units)
+                        left.append(units)
+                        continue
+                # c passes on no more: return what went through it.
+                nodes.pop()
+                given = offer.pop()
+                passed = given - left.pop()
+                if passed < given:
+                    clevel[c] = _OFF
+                if not nodes:
+                    sent[root] += passed
+                    total += passed
+                    break
+                if passed:
+                    p = nodes[-1]
+                    s = neighbors[p][next_server[p]]
+                    out = ships[p]
+                    out[s] = out.get(s, 0) + passed
+                    into = fed[s]
+                    into[p] = into.get(p, 0) + passed
+                    rest = into[c] - passed
+                    if rest:
+                        into[c] = ships[c][s] = rest
+                    else:
+                        del into[c], ships[c][s]
+                    left[-1] -= passed
+        return total
+
+    def stuck(self, clients, servers) -> set[int]:
+        """The region's clients that reach no server with room: the maximal min cut's.
+
+        One reverse search from the region's servers with room: every
+        region client next to a server that reaches the sink reaches it,
+        and so does every server that such a client ships into.
+        """
+        ships, clients_of, load, cap = self.ships, self.clients_of, self.load, self.cap
+        reaching = [s for s in servers if load[s] < cap[s]]
+        seen = set(reaching)
+        free: set[int] = set()
+        for s in reaching:
+            for c in clients_of[s]:
+                if c in clients and c not in free:
+                    free.add(c)
+                    for t in ships[c]:
+                        if t not in seen:
+                            seen.add(t)
+                            reaching.append(t)
+        return clients - free
+
+
 class PrefixBalance:
     """Balanced necessities and peels of every prefix of one arrival stream.
 
-    One demand network serves the whole run: source -> client (D units),
-    client -> server (2D, never saturated, so a client that ships all it has
-    to one server still reaches the sink through it) and server -> sink (the
-    server's necessity times D), at the scale D = lcm(1..S).  Every ratio is
-    |K| / |N(K)| with |N(K)| <= S, so every capacity is an integer.  Between
-    arrivals the network holds a flow that saturates every arc at the source
-    and at the sink; such a flow is a balanced spread, so each peel ships
-    only into its own servers.
+    One ``DemandFlow`` serves the whole run, at the scale D = lcm(1..S):
+    every client ships D units, and a server's capacity is its necessity
+    times D.  Every ratio is |K| / |N(K)| with |N(K)| <= S, so every
+    capacity is an integer.  No arc is stored: a client's source arc is its
+    deficit, D minus what it has sent; a server's sink arc is its capacity
+    minus its load; and a client -> server arc needs no capacity, since the
+    client ships at most D in all.  Between arrivals the flow fills every
+    client and every server exactly; such a flow is a balanced spread, so
+    each peel ships only into its own servers.
 
     ``add(client)`` admits the next client; a client with no neighbors
     carries no flow and changes nothing.  Let g be the least necessity among
@@ -271,19 +534,19 @@ class PrefixBalance:
     - Within a search a larger ratio only raises capacities, and each max
       flow augments the flow already there.
 
-    The peels left behind are saturated and ship nothing into the region,
-    and the region's clients have no arc out of it, so no augmenting path
-    leaves the region: each max flow on the whole network is the region's.
+    The flows never leave the region, and that loses nothing.  The peels
+    kept below the gate ship only into their own servers, which no region
+    client neighbors.  The peels found so far are full and ship only into
+    their own servers, and their clients neighbor no server still in the
+    region.  So only region clients ship into region servers, and a path
+    into a found peel's server stays among full servers for good.
     """
 
     def __init__(self, instance: ArrivalInstance):
         self.instance = instance
         servers = instance.server_count
         self.scale = math.lcm(*range(1, servers + 1))
-        self.net = FlowNetwork(2 + servers + instance.client_count, 0, 1)
-        self._first_client = 2 + servers  # client c is node _first_client + c
-        self._sink_arc = [self.net.add_arc(2 + s, 1, 0) for s in range(servers)]
-        self._client_arcs: dict[int, list[int]] = {}
+        self._flow = DemandFlow(servers, self.scale)
         self.adjacency: dict[int, tuple[int, ...]] = {}
         self.necessity: dict[int, Fraction] = {s: Fraction(0) for s in range(servers)}
         self._units = [0] * servers  # necessity * scale, to compare in integers
@@ -299,6 +562,8 @@ class PrefixBalance:
             raise ValueError(f"clients arrive in order; expected {self.arrived}, got {client}")
         self.arrived += 1
         neighbors = self.instance.neighbors(client)
+        flow = self._flow
+        flow.add_client(neighbors)
         if not neighbors:
             return ()
         gate = min(self.necessity[s] for s in neighbors)
@@ -307,39 +572,27 @@ class PrefixBalance:
             split += 1
         upper, lower = self.peels[:split], self.peels[split:]
 
-        net, scale, sink_arc = self.net, self.scale, self._sink_arc
-        first = self._first_client
-        node = first + client
+        scale = self.scale
         self.adjacency[client] = neighbors
-        self._client_arcs[client] = [net.add_arc(0, node, scale)] + [
-            net.add_arc(node, 2 + s, 2 * scale) for s in neighbors
-        ]
         clients = {client}.union(*(p.clients for p in upper))
         servers = set(neighbors).union(*(p.servers for p in upper))
-        demand = scale * len(self.adjacency)
         found: list[Peel] = []
         while clients:
-            sinks = [sink_arc[s] for s in servers]
             if found:
-                for c in clients:
-                    net.clear_flow(self._client_arcs[c])
-                net.clear_flow(sinks)
+                flow.clear(clients)
             lam = self._start(upper, client, clients, servers)
             while True:
-                net.set_capacity(sinks, lam.numerator * (scale // lam.denominator))
-                result = max_flow(net)
-                if result.value == demand:
+                flow.raise_caps(servers, lam.numerator * (scale // lam.denominator))
+                short, better, hood = flow.max_flow(clients, servers)
+                if not short:
                     break
-                side = result.min_cut_source_side()
-                better = [c for c in clients if first + c in side]
                 if not better:
                     raise InvariantViolation("an unsaturated demand network left no client on the source side")
-                ratio = Fraction(len(better), len(_neighborhood(self.adjacency, better) & servers))
+                ratio = Fraction(len(better), hood)
                 if not ratio > lam:
                     raise InvariantViolation("the Dinkelbach ratio failed to increase")
                 lam = ratio
-            side = result.max_cut_source_side()
-            tight = frozenset(c for c in clients if first + c in side)
+            tight = frozenset(flow.stuck(clients, servers))
             peel_servers = frozenset(_neighborhood(self.adjacency, tight) & servers)
             if not tight or Fraction(len(tight), len(peel_servers)) != lam:
                 raise InvariantViolation("extracted set does not attain the maximal ratio")

@@ -166,11 +166,12 @@ def run_semi_matching(
     engine = SapEngine(instance, capacity=caps)
     balance = PrefixBalance(instance)
     factor = 1 + eps
+    # ceil(factor * need) in integers: a Fraction product per server costs more than the search
+    top, bottom = factor.numerator, factor.denominator
     for client in range(instance.client_count):
         for s in balance.add(client):
             need = balance.necessity[s]
-            # ceil(factor * need) in integers: a Fraction product per server costs more than the search
-            allowance = -(-factor.numerator * need.numerator // (factor.denominator * need.denominator))
+            allowance = -(-top * need.numerator // (bottom * need.denominator))
             if allowance < caps[s]:
                 raise InvariantViolation(f"allowance of server {s} tried to shrink")
             caps[s] = allowance

@@ -4,14 +4,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
 
 
 class FlowNetwork:
     """A directed network with integer capacities, one source, one sink, and a flow.
 
-    The flow starts at zero.  ``max_flow`` augments it in place, so a network
-    whose capacities change can be solved again from the flow it holds.
+    The flow starts at zero, and ``max_flow`` augments it in place.
     """
 
     def __init__(self, node_count: int, source: int, sink: int):
@@ -39,22 +37,6 @@ class FlowNetwork:
         self.head[u].append(arc_id)
         self.head[v].append(arc_id + 1)
         return arc_id
-
-    def set_capacity(self, arc_ids: Iterable[int], capacity: int) -> None:
-        """Give every listed arc this capacity and keep its flow, which must still fit."""
-        cap, res = self.cap, self.res
-        for arc in arc_ids:
-            if not 0 <= cap[arc] - res[arc] <= capacity:
-                raise ValueError("the new capacity is below the arc's flow")
-            res[arc] += capacity - cap[arc]
-            cap[arc] = capacity
-
-    def clear_flow(self, arc_ids: Iterable[int]) -> None:
-        """Zero the flow on every listed arc; the caller keeps flow conserved around them."""
-        cap, res = self.cap, self.res
-        for arc in arc_ids:
-            res[arc] = cap[arc]
-            res[arc ^ 1] = cap[arc ^ 1]
 
 
 @dataclass

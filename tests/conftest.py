@@ -131,7 +131,11 @@ def small_instances(draw, max_clients: int = 8, max_servers: int = 8,
 
 @pytest.fixture
 def flow_calls(monkeypatch) -> Counter:
-    """Max flows started through ``balance`` and ``extensions``, counted per module."""
+    """Max flows started through ``balance`` and ``extensions``, counted per module.
+
+    ``balance`` also counts the flows of ``PrefixBalance``'s own kernel,
+    ``DemandFlow.max_flow``.
+    """
     import sapmatch.balance
     import sapmatch.extensions
 
@@ -142,6 +146,12 @@ def flow_calls(monkeypatch) -> Counter:
             return _inner(net)
 
         monkeypatch.setattr(module, "max_flow", counted)
+
+    def counted_kernel(flow, *region, _inner=sapmatch.balance.DemandFlow.max_flow):
+        calls["balance"] += 1
+        return _inner(flow, *region)
+
+    monkeypatch.setattr(sapmatch.balance.DemandFlow, "max_flow", counted_kernel)
     return calls
 
 

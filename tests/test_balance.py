@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,8 @@ from hypothesis import strategies as st
 
 from sapmatch import (
     ArrivalInstance,
+    FlowNetwork,
+    InvariantViolation,
     PrefixBalance,
     SapEngine,
     balanced_flow,
@@ -24,9 +28,11 @@ from sapmatch import (
     gen_star_chain,
     hopcroft_karp_size,
     limit_feasible,
+    max_flow,
     max_ratio,
     oracle_balanced_flow,
 )
+from sapmatch.balance import DemandFlow
 from sapmatch.verify import expansion_tail_bound, shortest_tails
 from conftest import adjacency_corpus, instance_corpus
 
@@ -315,6 +321,82 @@ class TestPrefixBalance:
             scratch_flows += flow_calls["balance"]
         # 373 against 525 on these draws; every arrival takes at least one.
         assert 256 <= stream_flows <= 400 < scratch_flows
+
+
+def _check_demand_flow(flow: DemandFlow) -> None:
+    """Every client ships at most the scale, only to neighbors; loads fit and mirror the shipments."""
+    for c, nbrs in enumerate(flow.neighbors):
+        assert set(flow.ships[c]) <= set(nbrs)
+        assert all(units > 0 for units in flow.ships[c].values())
+        assert flow.sent[c] == sum(flow.ships[c].values()) <= flow.scale
+    for s, into in enumerate(flow.fed):
+        assert into == {c: flow.ships[c][s] for c in range(len(flow.ships)) if s in flow.ships[c]}
+        assert flow.load[s] == sum(into.values()) <= flow.cap[s]
+
+
+class TestDemandFlow:
+    """The stream's own kernel against FlowNetwork + max_flow on the same demand network."""
+
+    def test_matches_flownet_from_warm_flows(self):
+        rng = random.Random(61)
+        for _ in range(300):
+            servers = rng.randint(1, 6)
+            scale = rng.randint(1, 12)
+            flow = DemandFlow(servers, scale)
+            for _ in range(rng.randint(1, 8)):
+                flow.add_client(tuple(rng.sample(range(servers), rng.randint(1, servers))))
+            clients, all_servers = set(range(len(flow.neighbors))), set(range(servers))
+            # A warm flow that fits: a maximum flow at lower capacities, partly taken back.
+            for s in all_servers:
+                flow.raise_caps([s], rng.randint(0, 2 * scale))
+            flow.max_flow(clients, all_servers)
+            flow.clear(rng.sample(sorted(clients), rng.randint(0, len(clients))))
+            for s in all_servers:
+                flow.raise_caps([s], flow.cap[s] + rng.randint(0, scale))
+            short, reached, hood = flow.max_flow(clients, all_servers)
+            _check_demand_flow(flow)
+
+            net = FlowNetwork(2 + len(clients) + servers, 0, 1)
+            for c in sorted(clients):
+                net.add_arc(0, 2 + servers + c, scale)
+                for s in flow.neighbors[c]:
+                    net.add_arc(2 + servers + c, 2 + s, scale * len(clients) + 1)
+            for s in range(servers):
+                net.add_arc(2 + s, 1, flow.cap[s])
+            result = max_flow(net)
+            assert result.value == scale * len(clients) - short
+            low = {c for c in clients if 2 + servers + c in result.min_cut_source_side()}
+            high = {c for c in clients if 2 + servers + c in result.max_cut_source_side()}
+            assert set(reached) == low
+            assert hood == len({s for c in low for s in flow.neighbors[c]})
+            assert flow.stuck(clients, all_servers) == high
+
+    def test_level_graph_deeper_than_the_recursion_limit(self):
+        # Client i ships into server i and also neighbors server i + 1; the
+        # last server is full until the new client arrives at server 0, whose
+        # only augmenting path runs down the whole chain.
+        depth = sys.getrecursionlimit() + 10
+        flow = DemandFlow(depth + 1, 1)
+        for i in range(depth):
+            flow.add_client((i, i + 1))
+        chain, servers = set(range(depth)), set(range(depth + 1))
+        flow.raise_caps(range(depth), 1)
+        assert flow.max_flow(chain, servers)[0] == 0
+        newcomer = flow.add_client((0,))
+        flow.raise_caps([depth], 1)
+        assert flow.max_flow(chain | {newcomer}, servers) == (0, [], 0)
+        assert all(flow.ships[i] == {i + 1: 1} for i in range(depth))
+        assert flow.ships[newcomer] == {0: 1}
+        assert flow.stuck(chain | {newcomer}, servers) == chain | {newcomer}
+        _check_demand_flow(flow)
+
+    def test_raise_caps_rejects_a_flow_that_no_longer_fits(self):
+        flow = DemandFlow(1, 4)
+        client = flow.add_client((0,))
+        flow.raise_caps([0], 3)
+        assert flow.max_flow({client}, {0}) == (1, [client], 1)
+        with pytest.raises(InvariantViolation, match="server 0"):
+            flow.raise_caps([0], 2)
 
 
 def _grid_load_vectors(adjacency, servers, units):

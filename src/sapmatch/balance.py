@@ -9,16 +9,13 @@ iteration over max flows in a scaled integer demand network; the last flow
 of each search also supplies the peel's spread.  Neighbor lists must be
 nonempty and free of repeats.
 
-``balanced_flow`` computes one graph from scratch and is the reference; it,
-``max_ratio`` and ``limit_feasible`` build a ``FlowNetwork`` for each flow.
-``PrefixBalance`` follows an arrival stream with a kernel of its own,
-``DemandFlow``, which shares no code with them, so comparing the two checks
-both.  It keeps the flow in the bipartite graph, as the units each client
-ships to each server, across prefixes.  Its arcs are implicit: a client's
-source arc is its deficit and a server's sink arc its capacity minus its
-load, while a client -> server arc needs no capacity, since a client ships
-at most its own demand.  Each flow stays inside the region an arrival can
-change, and only that region is re-peeled.
+Every peel search runs on one kernel, ``DemandFlow``, which keeps the flow in
+the bipartite graph as the units each client ships to each server, with
+implicit arcs.  ``_peel`` is the one Dinkelbach search and ``_peel_region``
+the one peel loop.  ``balanced_flow`` runs them from scratch, on a fresh
+flow holding every client at zero; ``PrefixBalance`` follows an arrival
+stream, keeps its flow across prefixes, and re-peels only the region an
+arrival can change.  ``limit_feasible`` builds a ``FlowNetwork``.
 """
 
 from __future__ import annotations
@@ -26,7 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from functools import partial
+from typing import Callable, Mapping, Sequence
 
 from .errors import InvariantViolation
 from .flownet import FlowNetwork, max_flow
@@ -91,7 +89,7 @@ def _check_adjacency(adjacency: Adjacency) -> None:
             raise ValueError(f"client {c} lists a neighbor more than once")
 
 
-def _demand_network(adjacency: Adjacency, p: int, q: int):
+def _demand_network(adjacency: Adjacency, p: int, q: int) -> FlowNetwork:
     """Scaled integer network testing whether all per-server loads can stay <= p/q.
 
     Every client must ship q units; a server accepts at most p.  The
@@ -102,17 +100,15 @@ def _demand_network(adjacency: Adjacency, p: int, q: int):
     source = 0
     sink = 1 + len(clients) + len(servers)
     net = FlowNetwork(sink + 1, source, sink)
-    cnode = {c: 1 + i for i, c in enumerate(clients)}
     snode = {s: 1 + len(clients) + j for j, s in enumerate(servers)}
     bulk = q * len(clients)
-    middle: dict[tuple[int, int], int] = {}
-    for c in clients:
-        net.add_arc(source, cnode[c], q)
+    for i, c in enumerate(clients, 1):
+        net.add_arc(source, i, q)
         for s in adjacency[c]:
-            middle[(c, s)] = net.add_arc(cnode[c], snode[s], bulk)
+            net.add_arc(i, snode[s], bulk)
     for s in servers:
         net.add_arc(snode[s], sink, p)
-    return net, cnode, snode, middle
+    return net
 
 
 def limit_feasible(adjacency: Adjacency, limit: Fraction) -> bool:
@@ -123,127 +119,15 @@ def limit_feasible(adjacency: Adjacency, limit: Fraction) -> bool:
     if not adjacency:
         return True
     limit = Fraction(limit)
-    net, _, _, _ = _demand_network(adjacency, limit.numerator, limit.denominator)
+    net = _demand_network(adjacency, limit.numerator, limit.denominator)
     return max_flow(net).value == limit.denominator * len(adjacency)
 
 
-def _neighborhood(adjacency: Adjacency, clients) -> set[int]:
+def _neighborhood(neighbors: Sequence[Sequence[int]], clients) -> set[int]:
     hood: set[int] = set()
     for c in clients:
-        hood.update(adjacency[c])
+        hood.update(neighbors[c])
     return hood
-
-
-def _densest(adjacency: Adjacency):
-    """Dinkelbach search for the largest client set K maximizing |K| / |N(K)|.
-
-    Let g(K) = q|K| - p|N(K)| in ``_demand_network(adjacency, p, q)``.  A
-    cut that crosses a client->server arc costs at least q|C|, as much as the
-    cut around the source; among the others, those with client set K are
-    cheapest with source side K + N(K), at q|C| - g(K).  So the flow
-    saturates every client iff g <= 0 everywhere, i.e. iff no ratio exceeds
-    lam = p/q.
-
-    Start at lam = |C| / |N(C)|.  While the flow does not saturate, the
-    client part K of the minimal min cut has g(K) > 0, so |K| / |N(K)| > lam
-    strictly; take it as the next lam.  For two consecutive unsaturated
-    rounds, optimality of each K at its own lam gives |N(K')| <= |N(K)|, and
-    equality would make g vanish at the new lam, i.e. saturate; so |N(K)|
-    strictly falls, and there are at most |N(C)| + 1 flows in all.  Once the
-    flow saturates, lam is the maximum ratio and every maximizer has g = 0.
-    g is supermodular (|N(.)| is submodular), so the maximizers are closed
-    under union, and the client part of the maximal min cut is the largest
-    one.
-
-    Returns lam, that set, the saturating flow and the network's
-    client->server arcs.  The set's clients have no neighbor outside N(K),
-    and N(K) can take only p|N(K)| = q|K| units, so in that flow K ships all
-    its demand into N(K) and nobody else ships anything there: restricted to
-    K, the flow is a spread of K with every server of N(K) at exactly lam.
-    """
-    lam = Fraction(len(adjacency), len(_neighborhood(adjacency, adjacency)))
-    while True:
-        net, cnode, _, middle = _demand_network(adjacency, lam.numerator, lam.denominator)
-        result = max_flow(net)
-        if result.value == lam.denominator * len(adjacency):
-            break
-        side = result.min_cut_source_side()
-        better = [c for c, node in cnode.items() if node in side]
-        if not better:
-            raise InvariantViolation("an unsaturated demand network left no client on the source side")
-        ratio = Fraction(len(better), len(_neighborhood(adjacency, better)))
-        if not ratio > lam:
-            raise InvariantViolation("the Dinkelbach ratio failed to increase")
-        lam = ratio
-    side = result.max_cut_source_side()
-    tight = frozenset(c for c, node in cnode.items() if node in side)
-    if not tight:
-        raise InvariantViolation("tight set extraction produced an empty set")
-    if Fraction(len(tight), len(_neighborhood(adjacency, tight))) != lam:
-        raise InvariantViolation("extracted set does not attain the maximal ratio")
-    return lam, tight, result, middle
-
-
-def max_ratio(adjacency: Adjacency) -> tuple[Fraction, frozenset[int]]:
-    """The largest |K| / |N(K)| over nonempty client sets, and the largest K attaining it.
-
-    Found by a Dinkelbach iteration (Dinkelbach 1967) in exact ``Fraction``
-    arithmetic: each round runs one max flow at the current ratio and either
-    proves it maximal or moves to the strictly larger ratio of the minimal
-    min cut's clients.  At most |N(C)| + 1 flows; see ``_densest``.
-    """
-    _check_adjacency(adjacency)
-    if not adjacency:
-        raise ValueError("max_ratio needs at least one client")
-    lam, tight, _, _ = _densest(adjacency)
-    return lam, tight
-
-
-def balanced_flow(adjacency: Adjacency, server_count: int | None = None) -> BalancedFlow:
-    """Compute the unique balanced spread by iterated peeling.
-
-    Each round takes the largest client set maximizing |K| / |N(K)|, fixes
-    that ratio as the necessity of every server in N(K), reads a realizing
-    spread of K off the saturating flow that proved the ratio maximal,
-    removes K and N(K), and repeats.  The ratio searches are the only max
-    flows.  Servers a peel never touches end at necessity 0.
-    """
-    _check_adjacency(adjacency)
-    remaining: dict[int, tuple[int, ...]] = {c: tuple(nbrs) for c, nbrs in adjacency.items()}
-    necessity: dict[int, Fraction] = {}
-    if server_count is not None:
-        necessity = {s: Fraction(0) for s in range(server_count)}
-    edge_flow: dict[tuple[int, int], Fraction] = {}
-    peels: list[Peel] = []
-
-    while remaining:
-        lam, tight, result, middle = _densest(remaining)
-        if peels and not lam < peels[-1].ratio:
-            raise InvariantViolation("peeling must produce strictly decreasing ratios")
-        peel_servers = _neighborhood(remaining, tight)
-        for (c, s), arc in middle.items():
-            if c in tight:
-                units = result.arc_flow(arc)
-                if units:
-                    edge_flow[(c, s)] = Fraction(units, lam.denominator)
-
-        for s in peel_servers:
-            necessity[s] = lam
-        peels.append(Peel(lam, frozenset(tight), frozenset(peel_servers)))
-
-        survivors: dict[int, tuple[int, ...]] = {}
-        for c, nbrs in remaining.items():
-            if c in tight:
-                continue
-            kept = tuple(s for s in nbrs if s not in peel_servers)
-            if not kept:
-                raise InvariantViolation(
-                    "a surviving client lost its whole neighborhood to a peel"
-                )
-            survivors[c] = kept
-        remaining = survivors
-
-    return BalancedFlow(necessity, edge_flow, tuple(peels))
 
 
 _OFF = -2  # the level of a server outside the region, or of a dead end in a blocking flow
@@ -272,8 +156,8 @@ class DemandFlow:
     set.  They never leave it: a server outside is not entered, and a server
     is left only for the clients that ship into it.  That is exact when no
     client outside the region ships into its servers and no residual path
-    through a server outside comes back or reaches room; ``PrefixBalance``
-    says why its regions meet that.
+    through a server outside comes back or reaches room; ``_peel_region``
+    and ``PrefixBalance`` say why their regions meet that.
     """
 
     def __init__(self, server_count: int, scale: int):
@@ -501,18 +385,155 @@ class DemandFlow:
         return clients - free
 
 
+def _peel(flow: DemandFlow, clients: set[int], servers: set[int], lam: Fraction) -> Peel:
+    """Dinkelbach search for the largest client set K of a region maximizing |K| / |N(K)|.
+
+    N(K) counts the region's servers only.  The search starts at ``lam``,
+    a ratio that some client set of the region attains, with a flow that
+    fits every region server's capacity at it.  Let D be the flow's scale
+    and g(K) = D|K| - lam D|N(K)|: every client demands D and every region
+    server takes lam D.  A client -> server arc has no capacity, so a finite
+    cut with client set K on the source side has N(K) there too, and the
+    cheapest one costs D|C| - g(K).  So the flow saturates every client iff
+    g <= 0 everywhere, i.e. iff no ratio exceeds lam.
+
+    While the flow does not saturate, the client part K of the minimal min
+    cut has g(K) > 0, so |K| / |N(K)| > lam strictly; take it as the next
+    lam, which only raises capacities, so the next max flow augments the
+    flow already there.  For two consecutive unsaturated rounds, optimality
+    of each K at its own lam gives |N(K')| <= |N(K)|, and equality would
+    make g vanish at the new lam, i.e. saturate; so |N(K)| strictly falls,
+    and there are at most |N(C)| + 1 flows in all.  Once the flow saturates,
+    lam is the maximum ratio and every maximizer has g = 0.  g is
+    supermodular (|N(.)| is submodular), so the maximizers are closed under
+    union, and the client part of the maximal min cut, ``stuck``, is the
+    largest one.
+
+    N(K) can take only lam D|N(K)| = D|K| units, so in that flow K ships all
+    its demand into N(K) and no other client ships anything there: K's flow
+    is a spread of K with every server of N(K) at exactly lam.
+    """
+    scale = flow.scale
+    while True:
+        flow.raise_caps(servers, lam.numerator * (scale // lam.denominator))
+        short, better, hood = flow.max_flow(clients, servers)
+        if not short:
+            break
+        if not better:
+            raise InvariantViolation("an unsaturated demand network left no client on the source side")
+        ratio = Fraction(len(better), hood)
+        if not ratio > lam:
+            raise InvariantViolation("the Dinkelbach ratio failed to increase")
+        lam = ratio
+    tight = frozenset(flow.stuck(clients, servers))
+    peel_servers = frozenset(_neighborhood(flow.neighbors, tight) & servers)
+    if not tight or Fraction(len(tight), len(peel_servers)) != lam:
+        raise InvariantViolation("extracted set does not attain the maximal ratio")
+    return Peel(lam, tight, peel_servers)
+
+
+def _peel_region(flow: DemandFlow, clients: set[int], servers: set[int], start: Callable) -> list[Peel]:
+    """Peel a region to the end; returns its peels, ratios strictly decreasing.
+
+    Each round runs ``_peel`` on what is left, from ``start(clients,
+    servers)``, and takes the peel out of the two sets; every server of the
+    region must neighbor one of its clients.  The first search keeps the
+    flow the region holds.  Each later one starts lower, so it first clears
+    the flow of the clients still to peel, which is all that reaches the
+    servers left: each peel found fills its own servers exactly.
+
+    The searches never leave the region, and that loses nothing: the peels
+    found so far are full, ship only into their own servers, and neighbor
+    no server still in the region.  So only region clients ship into region
+    servers, and a path into a found peel's server stays among full servers.
+    """
+    found: list[Peel] = []
+    while clients:
+        if found:
+            flow.clear(clients)
+        peel = _peel(flow, clients, servers, start(clients, servers))
+        if found and not peel.ratio < found[-1].ratio:
+            raise InvariantViolation("peeling must produce strictly decreasing ratios")
+        found.append(peel)
+        clients -= peel.clients
+        servers -= peel.servers
+        if any(servers.isdisjoint(flow.neighbors[c]) for c in clients):
+            raise InvariantViolation("a surviving client lost its whole neighborhood to a peel")
+    if servers:
+        raise InvariantViolation("a region's peels left one of its servers unpeeled")
+    return found
+
+
+def _fresh_flow(adjacency: Adjacency) -> tuple[DemandFlow, list[int], list[int]]:
+    """Every client at zero flow, at scale lcm(1..|N(C)|), so every capacity is an integer.
+
+    Clients and servers take dense kernel indices in ascending id order, so
+    any int ids work; returns the flow and the ids of its clients and servers.
+    """
+    _check_adjacency(adjacency)
+    client_ids = sorted(adjacency)
+    server_ids = sorted({s for nbrs in adjacency.values() for s in nbrs})
+    index = {s: j for j, s in enumerate(server_ids)}
+    flow = DemandFlow(len(server_ids), math.lcm(*range(1, len(server_ids) + 1)))
+    for c in client_ids:
+        flow.add_client(tuple(index[s] for s in adjacency[c]))
+    return flow, client_ids, server_ids
+
+
+def max_ratio(adjacency: Adjacency) -> tuple[Fraction, frozenset[int]]:
+    """The largest |K| / |N(K)| over nonempty client sets, and the largest K attaining it.
+
+    Found by a Dinkelbach iteration (Dinkelbach 1967) in exact ``Fraction``
+    arithmetic: each round runs one max flow at the current ratio and either
+    proves it maximal or moves to the strictly larger ratio of the minimal
+    min cut's clients.  It starts at |C| / |N(C)|, on a fresh flow; at most
+    |N(C)| + 1 flows, see ``_peel``.
+    """
+    if not adjacency:
+        raise ValueError("max_ratio needs at least one client")
+    flow, client_ids, server_ids = _fresh_flow(adjacency)
+    clients, servers = set(range(len(client_ids))), set(range(len(server_ids)))
+    peel = _peel(flow, clients, servers, Fraction(len(clients), len(servers)))
+    return peel.ratio, frozenset(client_ids[c] for c in peel.clients)
+
+
+def balanced_flow(adjacency: Adjacency, server_count: int | None = None) -> BalancedFlow:
+    """Compute the unique balanced spread by iterated peeling.
+
+    ``_peel_region`` peels the whole graph on a fresh flow that holds every
+    client at zero.  Each search starts at |C| / |N(C)| of what is left: a
+    peel's clients neighbor only its own servers, so every server left
+    neighbors a client left.  Each peel fixes its ratio as the necessity of
+    its servers, and its clients' flow, which no later search touches, is a
+    realizing spread.  The ratio searches are the only max flows.  Servers
+    a peel never touches end at necessity 0.
+    """
+    flow, client_ids, server_ids = _fresh_flow(adjacency)
+    clients, servers = set(range(len(client_ids))), set(range(len(server_ids)))
+    found = _peel_region(flow, clients, servers, lambda left, room: Fraction(len(left), len(room)))
+    necessity = {} if server_count is None else {s: Fraction(0) for s in range(server_count)}
+    peels = []
+    for peel in found:
+        hood = frozenset(server_ids[s] for s in peel.servers)
+        necessity.update(dict.fromkeys(hood, peel.ratio))
+        peels.append(Peel(peel.ratio, frozenset(client_ids[c] for c in peel.clients), hood))
+    edge_flow = {
+        (client_ids[c], server_ids[s]): Fraction(units, flow.scale)
+        for c, out in enumerate(flow.ships)
+        for s, units in out.items()
+    }
+    return BalancedFlow(necessity, edge_flow, tuple(peels))
+
+
 class PrefixBalance:
     """Balanced necessities and peels of every prefix of one arrival stream.
 
     One ``DemandFlow`` serves the whole run, at the scale D = lcm(1..S):
     every client ships D units, and a server's capacity is its necessity
     times D.  Every ratio is |K| / |N(K)| with |N(K)| <= S, so every
-    capacity is an integer.  No arc is stored: a client's source arc is its
-    deficit, D minus what it has sent; a server's sink arc is its capacity
-    minus its load; and a client -> server arc needs no capacity, since the
-    client ships at most D in all.  Between arrivals the flow fills every
-    client and every server exactly; such a flow is a balanced spread, so
-    each peel ships only into its own servers.
+    capacity is an integer.  Between arrivals the flow fills every client
+    and every server exactly; such a flow is a balanced spread, so each
+    peel ships only into its own servers.
 
     ``add(client)`` admits the next client; a client with no neighbors
     carries no flow and changes nothing.  Let g be the least necessity among
@@ -520,26 +541,18 @@ class PrefixBalance:
     servers and flow (the locality law): the clients of the peels of ratio
     at least g, plus the new one, have every neighbor among those peels'
     servers and the new client's neighbors, and re-peeling that region gives
-    ratios of at least g.  Each peel of the region is a Dinkelbach search
-    (see ``_densest``) confined to the clients and servers not yet peeled:
+    ratios of at least g.  ``_peel_region`` peels that region:
 
-    - It starts at the best ratio among candidate client sets: each old peel,
-      and the union of the old peels down to it plus the new client, all cut
-      down to what is left.  Any ratio that a set attains is a valid start.
+    - Each search starts at the best ratio among candidate client sets: each
+      old peel, and the union of the old peels down to it plus the new
+      client, all cut down to what is left.  Any ratio that a set attains is
+      a valid start.
     - The first search keeps the previous prefix's flow.  Its start is at
-      least the old top ratio, so server capacities only rise.  Each later
-      search first clears the flow of the clients still to peel, which is
-      all that reaches its servers: the peels found so far fill their own
-      servers exactly.
-    - Within a search a larger ratio only raises capacities, and each max
-      flow augments the flow already there.
+      least the old top ratio, so server capacities only rise.
 
-    The flows never leave the region, and that loses nothing.  The peels
-    kept below the gate ship only into their own servers, which no region
-    client neighbors.  The peels found so far are full and ship only into
-    their own servers, and their clients neighbor no server still in the
-    region.  So only region clients ship into region servers, and a path
-    into a found peel's server stays among full servers for good.
+    The flows never leave the region, and for the peels kept below the gate
+    that loses nothing: they ship only into their own servers, which no
+    region client neighbors.
     """
 
     def __init__(self, instance: ArrivalInstance):
@@ -547,7 +560,6 @@ class PrefixBalance:
         servers = instance.server_count
         self.scale = math.lcm(*range(1, servers + 1))
         self._flow = DemandFlow(servers, self.scale)
-        self.adjacency: dict[int, tuple[int, ...]] = {}
         self.necessity: dict[int, Fraction] = {s: Fraction(0) for s in range(servers)}
         self._units = [0] * servers  # necessity * scale, to compare in integers
         self.peels: tuple[Peel, ...] = ()
@@ -572,38 +584,13 @@ class PrefixBalance:
             split += 1
         upper, lower = self.peels[:split], self.peels[split:]
 
-        scale = self.scale
-        self.adjacency[client] = neighbors
         clients = {client}.union(*(p.clients for p in upper))
         servers = set(neighbors).union(*(p.servers for p in upper))
-        found: list[Peel] = []
-        while clients:
-            if found:
-                flow.clear(clients)
-            lam = self._start(upper, client, clients, servers)
-            while True:
-                flow.raise_caps(servers, lam.numerator * (scale // lam.denominator))
-                short, better, hood = flow.max_flow(clients, servers)
-                if not short:
-                    break
-                if not better:
-                    raise InvariantViolation("an unsaturated demand network left no client on the source side")
-                ratio = Fraction(len(better), hood)
-                if not ratio > lam:
-                    raise InvariantViolation("the Dinkelbach ratio failed to increase")
-                lam = ratio
-            tight = frozenset(flow.stuck(clients, servers))
-            peel_servers = frozenset(_neighborhood(self.adjacency, tight) & servers)
-            if not tight or Fraction(len(tight), len(peel_servers)) != lam:
-                raise InvariantViolation("extracted set does not attain the maximal ratio")
-            if found and not lam < found[-1].ratio:
-                raise InvariantViolation("peeling must produce strictly decreasing ratios")
-            found.append(Peel(lam, tight, peel_servers))
-            clients -= tight
-            servers -= peel_servers
-        if servers or (lower and not lower[0].ratio < found[-1].ratio):
+        found = _peel_region(flow, clients, servers, partial(self._start, upper, client))
+        if lower and not lower[0].ratio < found[-1].ratio:
             raise InvariantViolation("a re-peeled region does not sit above the peels it kept")
 
+        scale = self.scale
         changed = []
         for peel in found:
             units = peel.ratio.numerator * (scale // peel.ratio.denominator)
@@ -620,13 +607,14 @@ class PrefixBalance:
     def _start(self, upper, client: int, clients: set[int], servers: set[int]) -> Fraction:
         """The best ratio among the candidate client sets still left to peel."""
         union = [client] if client in clients else []
-        hood = set(self.adjacency[client]) & servers if union else set()
+        neighbors = self._flow.neighbors
+        hood = set(neighbors[client]) & servers if union else set()
         best = (len(union), len(hood)) if union else (0, 1)
         for peel in upper:
             kept = [c for c in peel.clients if c in clients]
             if not kept:
                 continue
-            kept_hood = _neighborhood(self.adjacency, kept) & servers
+            kept_hood = _neighborhood(neighbors, kept) & servers
             union += kept
             hood |= kept_hood
             for size, hood_size in ((len(kept), len(kept_hood)), (len(union), len(hood))):

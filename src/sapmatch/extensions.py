@@ -43,7 +43,7 @@ def _covers(adjacency: dict[int, tuple[int, ...]], per_server_cap: int) -> bool:
     """Can every listed client be assigned with all loads <= per_server_cap?"""
     if not adjacency:
         return True
-    net, _, _, _ = _demand_network(adjacency, per_server_cap, 1)
+    net = _demand_network(adjacency, per_server_cap, 1)
     return max_flow(net).value == len(adjacency)
 
 

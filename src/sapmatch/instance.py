@@ -73,13 +73,10 @@ class ArrivalInstance:
     def has_unit_capacities(self) -> bool:
         return self.capacities is None or all(u == 1 for u in self.capacities)
 
-    def prefix_adjacency(
-        self, prefix_len: int | None = None, *, skip_isolated: bool = True
-    ) -> dict[int, tuple[int, ...]]:
+    def prefix_adjacency(self, prefix_len: int | None = None) -> dict[int, tuple[int, ...]]:
         """Adjacency of the first ``prefix_len`` clients, for flow analysis.
 
-        Clients with no neighbors carry no flow and are omitted unless
-        ``skip_isolated`` is False.
+        Clients with no neighbors carry no flow and are omitted.
         """
         if prefix_len is None:
             prefix_len = self.client_count
@@ -87,6 +84,6 @@ class ArrivalInstance:
             raise ValueError("prefix length out of range")
         out: dict[int, tuple[int, ...]] = {}
         for client_id, neighbors in self.arrivals[:prefix_len]:
-            if neighbors or not skip_isolated:
+            if neighbors:
                 out[client_id] = neighbors
         return out

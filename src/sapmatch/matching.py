@@ -195,12 +195,7 @@ class SapEngine:
     allowances); the engine then sets ``dead = None`` and never prunes.
     """
 
-    def __init__(
-        self,
-        instance: ArrivalInstance,
-        capacity: Sequence[int] | None = None,
-        log: RunLog | None = None,
-    ):
+    def __init__(self, instance: ArrivalInstance, capacity: Sequence[int] | None = None):
         self.instance = instance
         caps: Sequence[int]
         if capacity is None:
@@ -214,7 +209,7 @@ class SapEngine:
         self.state = MatchState([], [[] for _ in range(instance.server_count)], caps)
         # Servers no augmenting path can reach again; None when capacities may grow.
         self.dead: set[int] | None = None if isinstance(caps, list) else set()
-        self.log = log if log is not None else RunLog()
+        self.log = RunLog()
 
     def arrive(self, client: int) -> tuple[int, ...]:
         """Admit the next client, unmatched; returns its neighbors."""

@@ -133,8 +133,8 @@ def small_instances(draw, max_clients: int = 8, max_servers: int = 8,
 def flow_calls(monkeypatch) -> Counter:
     """Max flows started through ``balance`` and ``extensions``, counted per module.
 
-    ``balance`` also counts the flows of ``PrefixBalance``'s own kernel,
-    ``DemandFlow.max_flow``.
+    ``balance`` counts the flows of its kernel, ``DemandFlow.max_flow``,
+    which every ratio search runs, and those of ``limit_feasible``.
     """
     import sapmatch.balance
     import sapmatch.extensions

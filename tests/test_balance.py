@@ -100,7 +100,7 @@ class TestRepeatedNeighbors:
 
 
 class TestFlowCounts:
-    """Max flows counted by wrapping the module's binding; no clock involved."""
+    """Max flows counted by wrapping the flow functions (``flow_calls``); no clock involved."""
 
     def test_clients_sharing_one_server_take_one_flow(self, flow_calls):
         lam, tight = max_ratio({c: (0,) for c in range(800)})
@@ -173,6 +173,20 @@ class TestBalancedFlow:
             assert flow.necessity == {
                 s: mirror_flow.necessity[smap[s]] for s in flow.necessity
             }
+
+    @pytest.mark.parametrize("shift", [-10**6, -3, 10**6])
+    def test_any_int_ids(self, shift):
+        # The kernel takes dense indices: unmapped, a negative id would index
+        # its lists from the end and a sparse one would allocate that many slots.
+        for adjacency in adjacency_corpus(60, seed=52, max_clients=10):
+            moved = {
+                2 * c + shift: tuple(3 * s + shift for s in nbrs)
+                for c, nbrs in adjacency.items()
+            }
+            flow = balanced_flow(moved)
+            flow.check(moved)
+            assert flow.necessity == oracle_balanced_flow(moved)
+            assert max_ratio(moved) == brute_max_ratio(moved)
 
     def test_total_necessity_counts_clients(self):
         for adjacency in adjacency_corpus(40, seed=44):
@@ -252,7 +266,7 @@ class TestFullMatchingCharacterization:
 
 
 def assert_stream_matches(instance: ArrivalInstance) -> None:
-    """PrefixBalance against a from-scratch balanced_flow on every prefix."""
+    """PrefixBalance against a from-scratch balanced_flow, itself certified, on every prefix."""
     stream = PrefixBalance(instance)
     for t in range(1, instance.client_count + 1):
         before = dict(stream.necessity)
@@ -260,6 +274,7 @@ def assert_stream_matches(instance: ArrivalInstance) -> None:
         adjacency = instance.prefix_adjacency(t)
         if adjacency:
             want = balanced_flow(adjacency, server_count=instance.server_count)
+            want.check(adjacency)
             assert stream.necessity == want.necessity, t
             assert stream.peels == want.peels, t
             assert stream.max_necessity() == want.max_necessity()
@@ -334,42 +349,80 @@ def _check_demand_flow(flow: DemandFlow) -> None:
         assert flow.load[s] == sum(into.values()) <= flow.cap[s]
 
 
+def _warm(flow: DemandFlow, rng: random.Random, clients: set[int], servers: set[int]) -> None:
+    """A warm flow that fits: a maximum at lower capacities, partly taken back, capacities raised."""
+    for s in servers:
+        flow.raise_caps([s], rng.randint(0, 2 * flow.scale))
+    flow.max_flow(clients, servers)
+    flow.clear(rng.sample(sorted(clients), rng.randint(0, len(clients))))
+    for s in servers:
+        flow.raise_caps([s], flow.cap[s] + rng.randint(0, flow.scale))
+
+
+def _assert_matches_flownet(flow: DemandFlow, clients: set[int], servers: set[int]) -> None:
+    """max_flow and stuck on a region against FlowNetwork + max_flow on the region's own network."""
+    short, reached, hood = flow.max_flow(clients, servers)
+    _check_demand_flow(flow)
+    cnode = {c: 2 + i for i, c in enumerate(sorted(clients))}
+    snode = {s: 2 + len(clients) + j for j, s in enumerate(sorted(servers))}
+    net = FlowNetwork(2 + len(clients) + len(servers), 0, 1)
+    for c, node in cnode.items():
+        net.add_arc(0, node, flow.scale)
+        for s in flow.neighbors[c]:
+            if s in servers:
+                net.add_arc(node, snode[s], flow.scale * len(clients) + 1)
+    for s, node in snode.items():
+        net.add_arc(node, 1, flow.cap[s])
+    result = max_flow(net)
+    assert result.value == flow.scale * len(clients) - short
+    low = {c for c, node in cnode.items() if node in result.min_cut_source_side()}
+    high = {c for c, node in cnode.items() if node in result.max_cut_source_side()}
+    assert set(reached) == low
+    assert hood == len({s for c in low for s in flow.neighbors[c] if s in servers})
+    assert flow.stuck(clients, servers) == high
+
+
 class TestDemandFlow:
-    """The stream's own kernel against FlowNetwork + max_flow on the same demand network."""
+    """The peel searches' kernel against FlowNetwork + max_flow on the same demand network."""
 
     def test_matches_flownet_from_warm_flows(self):
         rng = random.Random(61)
         for _ in range(300):
             servers = rng.randint(1, 6)
-            scale = rng.randint(1, 12)
-            flow = DemandFlow(servers, scale)
+            flow = DemandFlow(servers, rng.randint(1, 12))
             for _ in range(rng.randint(1, 8)):
                 flow.add_client(tuple(rng.sample(range(servers), rng.randint(1, servers))))
             clients, all_servers = set(range(len(flow.neighbors))), set(range(servers))
-            # A warm flow that fits: a maximum flow at lower capacities, partly taken back.
-            for s in all_servers:
-                flow.raise_caps([s], rng.randint(0, 2 * scale))
-            flow.max_flow(clients, all_servers)
-            flow.clear(rng.sample(sorted(clients), rng.randint(0, len(clients))))
-            for s in all_servers:
-                flow.raise_caps([s], flow.cap[s] + rng.randint(0, scale))
-            short, reached, hood = flow.max_flow(clients, all_servers)
-            _check_demand_flow(flow)
+            _warm(flow, rng, clients, all_servers)
+            _assert_matches_flownet(flow, clients, all_servers)
 
-            net = FlowNetwork(2 + len(clients) + servers, 0, 1)
-            for c in sorted(clients):
-                net.add_arc(0, 2 + servers + c, scale)
-                for s in flow.neighbors[c]:
-                    net.add_arc(2 + servers + c, 2 + s, scale * len(clients) + 1)
-            for s in range(servers):
-                net.add_arc(2 + s, 1, flow.cap[s])
-            result = max_flow(net)
-            assert result.value == scale * len(clients) - short
-            low = {c for c in clients if 2 + servers + c in result.min_cut_source_side()}
-            high = {c for c in clients if 2 + servers + c in result.max_cut_source_side()}
-            assert set(reached) == low
-            assert hood == len({s for c in low for s in flow.neighbors[c]})
-            assert flow.stuck(clients, all_servers) == high
+    def test_matches_flownet_on_a_region_beside_a_full_peel(self):
+        # Every search after a peel loop's first runs on such a region: the
+        # peel found fills its own servers with its own clients' flow, and the
+        # clients left may neighbor those servers.
+        rng = random.Random(62)
+        for _ in range(300):
+            full, room = rng.randint(1, 4), rng.randint(1, 5)
+            flow = DemandFlow(full + room, rng.randint(1, 12))
+            peel_servers, servers = range(full), set(range(full, full + room))
+            peel = {
+                flow.add_client(tuple(rng.sample(peel_servers, rng.randint(1, full))))
+                for _ in range(rng.randint(1, 6))
+            }
+            flow.raise_caps(peel_servers, flow.scale * len(peel))
+            assert flow.max_flow(peel, set(peel_servers))[0] == 0
+            flow.cap[:full] = flow.load[:full]
+            clients = set()
+            for _ in range(rng.randint(1, 8)):
+                nbrs = rng.sample(sorted(servers), rng.randint(1, room))
+                nbrs += rng.sample(peel_servers, rng.randint(0, full))
+                rng.shuffle(nbrs)
+                clients.add(flow.add_client(tuple(nbrs)))
+            kept = [dict(flow.ships[c]) for c in peel]
+            _warm(flow, rng, clients, servers)
+            _assert_matches_flownet(flow, clients, servers)
+            assert [flow.ships[c] for c in peel] == kept
+            assert flow.load[:full] == flow.cap[:full]
 
     def test_level_graph_deeper_than_the_recursion_limit(self):
         # Client i ships into server i and also neighbors server i + 1; the

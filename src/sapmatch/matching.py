@@ -15,6 +15,13 @@ Searches can therefore skip R's servers for good without changing the
 distance of any live vertex, the free server chosen, or the path
 reconstructed.  This holds only while capacities are fixed: a server of R
 that gains a slot reopens R.
+
+The search keeps no set of reached clients.  Two facts make one needless:
+every matched client sits in exactly one server's client list, and every
+server enters the search once, so each client is reached exactly once, with
+its server; and a frontier client's own server was reached before it (the
+root has none), so it needs no test of its own.  The clients a failed search
+reached are therefore the root plus the clients of every server it reached.
 """
 
 from __future__ import annotations
@@ -145,31 +152,29 @@ def flip_path(state: MatchState, path: AugPath) -> int:
     than corrupting the matching.
     """
     verts = path.vertices
+    server_of_client, clients_of_server = state.server_of_client, state.clients_of_server
     start = verts[0]
-    if start >= state.arrived_count or state.server_of_client[start] is not None:
+    if start >= state.arrived_count or server_of_client[start] is not None:
         raise ValueError("path must start at an arrived, unmatched client")
     for i in range(1, len(verts), 2):
         server = verts[i]
-        client_before = verts[i - 1]
-        if state.server_of_client[client_before] == server:
+        if server_of_client[verts[i - 1]] == server:
             raise ValueError("stale path: expected an unmatched edge into the server")
-        if i + 1 < len(verts):
-            client_after = verts[i + 1]
-            if state.server_of_client[client_after] != server:
-                raise ValueError("stale path: expected a matched edge out of the server")
+        if i + 1 < len(verts) and server_of_client[verts[i + 1]] != server:
+            raise ValueError("stale path: expected a matched edge out of the server")
     terminal = verts[-1]
-    if not state.is_free(terminal):
+    if len(clients_of_server[terminal]) >= state.capacity[terminal]:
         raise ValueError("stale path: terminal server has no spare capacity")
 
     # Re-seat every client on the path; all servers except the terminal one
     # swap one occupant for another, so capacities are respected throughout.
     for i in range(0, len(verts) - 1, 2):
         client, server = verts[i], verts[i + 1]
-        old = state.server_of_client[client]
+        old = server_of_client[client]
         if old is not None:
-            state.clients_of_server[old].remove(client)
-        state.server_of_client[client] = server
-        bisect.insort(state.clients_of_server[server], client)
+            clients_of_server[old].remove(client)
+        server_of_client[client] = server
+        bisect.insort(clients_of_server[server], client)
     return path.replacements
 
 
@@ -185,7 +190,9 @@ class SapEngine:
     discoverer is the smallest-index client one layer back whose unmatched
     edge enters the server, so the path is read straight off those records.
 
-    A failed search hands what it reached to ``_retire``, which adds every
+    A failed search hands what it reached to ``_retire``: the servers it
+    recorded, and the clients read off them (the root plus every client of a
+    reached server, see the module docstring).  ``_retire`` adds every
     reached server to ``dead``, and later searches skip those servers (see
     the module docstring for why no output changes).  That needs fixed
     capacities, so pruning is on only when the engine owns them: with
@@ -193,6 +200,9 @@ class SapEngine:
     and writing to one raises ``TypeError``.  A ``list`` is kept as a shared
     reference that the caller may grow in place (min-max and semi-matching
     allowances); the engine then sets ``dead = None`` and never prunes.
+
+    ``servers_visited`` adds up the servers every search reaches: the
+    search's work, deterministic for a given run.
     """
 
     def __init__(self, instance: ArrivalInstance, capacity: Sequence[int] | None = None):
@@ -210,6 +220,7 @@ class SapEngine:
         # Servers no augmenting path can reach again; None when capacities may grow.
         self.dead: set[int] | None = None if isinstance(caps, list) else set()
         self.log = RunLog()
+        self.servers_visited = 0
 
     def arrive(self, client: int) -> tuple[int, ...]:
         """Admit the next client, unmatched; returns its neighbors."""
@@ -228,39 +239,42 @@ class SapEngine:
     def shortest_aug_path(self, client: int) -> Optional[AugPath]:
         """Shortest augmenting path from an arrived, unmatched client, or None."""
         state = self.state
+        server_of_client = state.server_of_client
         if client >= state.arrived_count:
             raise ValueError("client has not arrived")
-        if state.server_of_client[client] is not None:
+        if server_of_client[client] is not None:
             raise ValueError("client is already matched")
 
+        arrivals = self.instance.arrivals
+        clients_of_server, capacity = state.clients_of_server, state.capacity
         dead = self.dead if self.dead is not None else ()
-        server_of_client = state.server_of_client
-        reached = {client}
         via: dict[int, int] = {}  # server -> the first client to reach it
         frontier = [client]
         target: Optional[int] = None
         while frontier:
-            new_servers = []
+            new_servers, free = [], []
             for c in frontier:
-                own = server_of_client[c]
-                for s in self.instance.neighbors(c):
-                    if s != own and s not in via and s not in dead:
+                # c's own server is already in via (the root has none)
+                for s in arrivals[c][1]:
+                    if s not in via and s not in dead:
                         via[s] = c
                         new_servers.append(s)
-            free = [s for s in new_servers if state.is_free(s)]
+                        if len(clients_of_server[s]) < capacity[s]:
+                            free.append(s)
             if free:
                 target = min(free)
                 break
-            next_clients = []
+            # every matched client sits on one server, reached once: no duplicates
+            frontier = []
             for s in new_servers:
-                for c in state.clients_of_server[s]:
-                    if c not in reached:
-                        reached.add(c)
-                        next_clients.append(c)
-            next_clients.sort()  # so the first client to reach a server is the smallest
-            frontier = next_clients
+                frontier += clients_of_server[s]
+            frontier.sort()  # so the first client to reach a server is the smallest
+        self.servers_visited += len(via)
         if target is None:
             if self.dead is not None:
+                reached = {client}
+                for s in via:
+                    reached.update(clients_of_server[s])
                 self._retire(client, via, reached)
             return None
 
@@ -277,8 +291,9 @@ class SapEngine:
 
     def augment(self, path: AugPath) -> int:
         verts = path.vertices
+        arrivals = self.instance.arrivals
         for i in range(0, len(verts) - 1, 2):
-            if verts[i + 1] not in self.instance.neighbors(verts[i]):
+            if verts[i + 1] not in arrivals[verts[i]][1]:
                 raise ValueError(f"path uses the absent edge ({verts[i]},{verts[i + 1]})")
         return flip_path(self.state, path)
 

@@ -2,8 +2,8 @@
 
 Each check returns a CheckResult; `verify_instance` runs the full battery off
 one stepped run per engine.  The flow-based checks need every client to have
-a neighbor and a small client count (the oracle enumerates subsets), so they
-are skipped with a notice where they do not apply.
+a neighbor, and the comparison with the enumeration oracle a small client
+count, so they are skipped with a notice where they do not apply.
 """
 
 from __future__ import annotations
@@ -136,19 +136,17 @@ def check_total_path_length(log: RunLog, n: int) -> CheckResult:
     )
 
 
-def _flow_skip_reason(instance: ArrivalInstance, oracle_client_limit: int) -> Optional[str]:
-    if any(not nbrs for _, nbrs in instance.arrivals):
-        return "instance has a client with no neighbors"
-    if instance.client_count > oracle_client_limit:
-        return f"more than {oracle_client_limit} clients for the enumeration oracle"
-    return None
-
-
 class _FlowChecks:
-    """Per-arrival necessity checks, fed the state of a stepped ``SapEngine``."""
+    """Per-arrival necessity checks, fed the state of a stepped ``SapEngine``.
 
+    All of them need every client to have a neighbor.  Only
+    ``necessity-vs-oracle`` enumerates subsets, so only it is skipped above
+    ``oracle_client_limit`` clients.
+    """
+
+    ORACLE = "necessity-vs-oracle"
     NAMES = (
-        "necessity-vs-oracle",
+        ORACLE,
         "necessity-monotone",
         "necessity-locality",
         "balanced-flow-invariants",
@@ -157,7 +155,12 @@ class _FlowChecks:
 
     def __init__(self, instance: ArrivalInstance, oracle_client_limit: int):
         self.instance = instance
-        self.skip = _flow_skip_reason(instance, oracle_client_limit)
+        self.skip: Optional[str] = None
+        if any(not nbrs for _, nbrs in instance.arrivals):
+            self.skip = "instance has a client with no neighbors"
+        self.oracle_skip = self.skip
+        if self.skip is None and instance.client_count > oracle_client_limit:
+            self.oracle_skip = f"more than {oracle_client_limit} clients for the enumeration oracle"
         self.failures: dict[str, CheckResult] = {}
         self.effective_adjacency: dict[int, tuple[int, ...]] = {}
         self.previous = {s: Fraction(0) for s in range(instance.server_count)}
@@ -179,9 +182,10 @@ class _FlowChecks:
             flow.check(prefix)
         except Exception as exc:  # noqa: BLE001 - surfaced as a check failure
             fail("balanced-flow-invariants", f"arrival {c}: {exc}")
-        oracle = oracle_balanced_flow(prefix, server_count=instance.server_count)
-        if oracle != flow.necessity:
-            fail("necessity-vs-oracle", f"arrival {c}: maps differ")
+        if self.oracle_skip is None:
+            oracle = oracle_balanced_flow(prefix, server_count=instance.server_count)
+            if oracle != flow.necessity:
+                fail(self.ORACLE, f"arrival {c}: maps differ")
         for s in range(instance.server_count):
             if flow.necessity[s] < previous[s]:
                 fail("necessity-monotone", f"arrival {c}: server {s} decreased")
@@ -216,9 +220,14 @@ class _FlowChecks:
                 )
 
     def results(self) -> list[CheckResult]:
-        if self.skip is not None:
-            return [CheckResult(name, None, self.skip) for name in self.NAMES]
-        return [self.failures.get(name, CheckResult(name, True)) for name in self.NAMES]
+        results = []
+        for name in self.NAMES:
+            skip = self.oracle_skip if name == self.ORACLE else self.skip
+            if skip is not None:
+                results.append(CheckResult(name, None, skip))
+            else:
+                results.append(self.failures.get(name, CheckResult(name, True)))
+        return results
 
 
 def verify_instance(

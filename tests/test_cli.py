@@ -214,6 +214,13 @@ class TestVerify:
         assert len(results) == 11 and all(r.passed for r in results)
         assert built == ["SapEngine", "FastSapEngine"]
 
+    def test_flow_checks_run_above_the_oracle_limit(self):
+        results = verify_instance(gen_random(24, 48, 3, seed=1))
+        assert [r.name for r in results if r.passed is None] == ["necessity-vs-oracle"]
+        passed = {r.name for r in results if r.passed}
+        assert {"balanced-flow-invariants", "necessity-monotone", "necessity-locality",
+                "expansion-tails"} <= passed
+
     def test_flow_checks_reject_capacities(self):
         inst = ArrivalInstance.build(2, [[0], [0, 1]], capacities=[2, 1])
         with pytest.raises(ValueError):

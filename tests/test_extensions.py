@@ -14,10 +14,10 @@ from sapmatch import (
     AugPath,
     CopyMap,
     InvariantViolation,
-    MatchState,
     PrefixBalance,
     SapEngine,
     balanced_flow,
+    extensions,
     gen_complete,
     gen_minmax_adversary,
     gen_star_chain,
@@ -37,6 +37,35 @@ from conftest import (
     instance_corpus,
     run_copy_expansion,
 )
+
+
+class _OneMoreSlot:
+    """A live view of a capacity list that reads one slot more than it holds."""
+
+    def __init__(self, caps: list[int]):
+        self.caps = caps
+
+    def __getitem__(self, server: int) -> int:
+        return self.caps[server] + 1
+
+    def __len__(self) -> int:
+        return len(self.caps)
+
+
+def off_by_one_capacity_test(monkeypatch) -> None:
+    """Make the engines that ``extensions`` builds test ``load <= capacity``.
+
+    The search and ``flip_path`` compare a server's load with
+    ``state.capacity``, so a view one slot too large turns their
+    ``load < capacity`` into ``load <= capacity``.
+    """
+
+    class OffByOne(SapEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.state.capacity = _OneMoreSlot(self.state.capacity)
+
+    monkeypatch.setattr(extensions, "SapEngine", OffByOne)
 
 
 def log_bytes(log) -> bytes:
@@ -259,9 +288,7 @@ class TestMinMaxAgainstFlow:
 
     def test_overload_is_caught(self, monkeypatch):
         # A capacity test off by one lets a search end at a full server.
-        monkeypatch.setattr(
-            MatchState, "is_free", lambda self, s: self.load(s) <= self.capacity[s]
-        )
+        off_by_one_capacity_test(monkeypatch)
         with pytest.raises(InvariantViolation, match="ends at load 1 with optimum 0"):
             run_minmax(gen_minmax_adversary(4))
 
@@ -379,9 +406,7 @@ class TestSemiMatching:
     def test_overload_is_caught(self, monkeypatch):
         # A capacity test off by one lets client 1 onto server 0, whose
         # allowance is ceil(2 * 2/20) = 1; only that end server is checked.
-        monkeypatch.setattr(
-            MatchState, "is_free", lambda self, s: self.load(s) <= self.capacity[s]
-        )
+        off_by_one_capacity_test(monkeypatch)
         with pytest.raises(InvariantViolation, match="server 0 exceeds its allowance"):
             run_semi_matching(gen_complete(10, 20), Fraction(1))
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from sapmatch import (
     ArrivalInstance,
     AugPath,
+    EpochRecord,
     FastSapEngine,
     SapEngine,
     balance,
@@ -237,24 +238,6 @@ def with_capacity(inst: ArrivalInstance, units: int) -> ArrivalInstance:
     return ArrivalInstance(inst.server_count, inst.arrivals, (units,) * inst.server_count)
 
 
-def count_free_checks(engine: SapEngine) -> list[int]:
-    """Count the servers the engine's searches reach.
-
-    The BFS asks ``is_free`` exactly once of every server it reaches, and a
-    failed search makes no other call, so the counter is the work of a failed
-    search in servers visited.
-    """
-    calls = [0]
-    is_free = engine.state.is_free
-
-    def counting(server: int) -> bool:
-        calls[0] += 1
-        return is_free(server)
-
-    engine.state.is_free = counting
-    return calls
-
-
 class TestDeadServerPruning:
     @pytest.mark.parametrize(
         "build, min_dead",
@@ -326,12 +309,11 @@ class TestDeadServerPruning:
         dead = 0
         for inst in corpus:
             engine = SapEngine(inst)
-            visits = count_free_checks(engine)
             failed_visits = 0
             for c in range(inst.client_count):
-                start, before = visits[0], len(engine.dead)
+                start, before = engine.servers_visited, len(engine.dead)
                 if not engine.step(c).matched:
-                    reached = visits[0] - start
+                    reached = engine.servers_visited - start
                     # every server reached was live before and is dead after
                     assert reached == len(engine.dead) - before
                     failed_visits += reached
@@ -342,12 +324,11 @@ class TestDeadServerPruning:
         # without pruning, failed searches rescan the dead region many times
         inst = corpus[-1]
         reference = unpruned_engine(inst)
-        visits = count_free_checks(reference)
         unpruned_failed_visits = 0
         for c in range(inst.client_count):
-            start = visits[0]
+            start = reference.servers_visited
             if not reference.step(c).matched:
-                unpruned_failed_visits += visits[0] - start
+                unpruned_failed_visits += reference.servers_visited - start
         assert unpruned_failed_visits > 10 * inst.server_count
 
 
@@ -401,6 +382,7 @@ class WalkBack:
                         next_clients.append(c)
             frontier = next_clients
             depth += 2
+        self.servers_visited += len(dist_server)
         if target is None:
             if self.dead is not None:
                 self._retire(client, dist_server, set(dist_client))
@@ -462,10 +444,44 @@ def assert_lockstep(engine: SapEngine, reference: SapEngine, grow=None) -> None:
         assert paths == ref_paths
         paths.clear()
         ref_paths.clear()
-        assert engine.state.server_of_client == reference.state.server_of_client
-        assert engine.state.clients_of_server == reference.state.clients_of_server
-        assert engine.dead == reference.dead
+        assert_same_state(engine, reference)
     assert engine.log == reference.log
+
+
+def assert_same_state(engine: SapEngine, reference: SapEngine) -> None:
+    assert engine.state.server_of_client == reference.state.server_of_client
+    assert engine.state.clients_of_server == reference.state.clients_of_server
+    assert engine.dead == reference.dead
+    assert engine.servers_visited == reference.servers_visited
+
+
+def minmax_lockstep(engine: SapEngine, reference: SapEngine, caps: list[int]) -> list[EpochRecord]:
+    """Step both engines by ``run_minmax``'s rule and compare them after each arrival.
+
+    Both engines read ``caps``.  When the searches fail, every entry rises
+    by one (a new epoch) and the client goes to its smallest-index neighbor.
+    Returns the epochs.
+    """
+    epochs: list[EpochRecord] = []
+    for c in range(engine.instance.client_count):
+        neighbors = engine.arrive(c)
+        assert reference.arrive(c) == neighbors
+        path = None
+        if neighbors:
+            path = engine.shortest_aug_path(c)
+            assert reference.shortest_aug_path(c) == path
+            if path is None:
+                caps[:] = [len(epochs) + 1] * len(caps)
+                epochs.append(EpochRecord(len(epochs) + 1, c))
+                path = AugPath((c, neighbors[0]))
+        for eng in (engine, reference):
+            if path is not None:
+                eng.augment(path)
+            eng.log.record(c, None if path is None else path.edge_count)
+        assert engine.log.records[-1] == reference.log.records[-1]
+        assert_same_state(engine, reference)
+    assert engine.log == reference.log
+    return epochs
 
 
 class TestFirstDiscovererPaths:
@@ -552,6 +568,33 @@ class TestFirstDiscovererPaths:
         assert_lockstep(engine, reference)
         assert engine.prune_events == reference.prune_events
         assert getattr(engine.log, searched) > 0
+
+    @pytest.mark.parametrize("load", [8, 20, 32])
+    def test_minmax_adversary(self, load, monkeypatch):
+        # Loads up to L put many clients on each server the search reaches.
+        inst = gen_minmax_adversary(load)
+        caps = [0] * inst.server_count
+        engine = SapEngine(inst, capacity=caps)
+        epochs = minmax_lockstep(engine, WalkBackSapEngine(inst, capacity=caps), caps)
+        assert len(epochs) == load and engine.dead is None
+        state, log, run_epochs = run_minmax(inst)
+        assert (log, run_epochs) == (engine.log, epochs)
+        assert state.clients_of_server == engine.state.clients_of_server
+        # run_minmax itself on the reference engine
+        monkeypatch.setattr(extensions, "SapEngine", WalkBackSapEngine)
+        replay, replay_log, replay_epochs = run_minmax(inst)
+        assert (replay_log, replay_epochs) == (log, run_epochs)
+        assert replay.server_of_client == state.server_of_client
+        assert replay.clients_of_server == state.clients_of_server
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_many_slots(self, seed):
+        inst = gen_random(640, 1024, 3, seed)
+        rng = random.Random(seed)
+        inst = ArrivalInstance(640, inst.arrivals, tuple(rng.randint(2, 8) for _ in range(640)))
+        engine = SapEngine(inst)
+        assert engine.dead is not None  # fixed capacities: pruning is on
+        assert_lockstep(engine, WalkBackSapEngine(inst))
 
 
 def record_engines(monkeypatch, module) -> list[SapEngine]:

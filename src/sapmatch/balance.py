@@ -11,11 +11,15 @@ nonempty and free of repeats.
 
 Every peel search runs on one kernel, ``DemandFlow``, which keeps the flow in
 the bipartite graph as the units each client ships to each server, with
-implicit arcs.  ``_peel`` is the one Dinkelbach search and ``_peel_region``
-the one peel loop.  ``balanced_flow`` runs them from scratch, on a fresh
-flow holding every client at zero; ``PrefixBalance`` follows an arrival
-stream, keeps its flow across prefixes, and re-peels only the region an
-arrival can change.  ``limit_feasible`` builds a ``FlowNetwork``.
+implicit arcs.  Its max flow fills each short client's own neighbors
+directly before any level search, and its reverse search returns both sides
+of the maximal min cut, so a peel's servers need no neighborhood walk.
+``_peel`` is the one Dinkelbach search and ``_peel_region`` the one peel
+loop; they carry every ratio as integer units of the flow's scale and build
+one ``Fraction`` per peel.  ``balanced_flow`` runs them from scratch, on a
+fresh flow holding every client at zero; ``PrefixBalance`` follows an
+arrival stream, keeps its flow across prefixes, and re-peels only the
+region an arrival can change.  ``limit_feasible`` builds a ``FlowNetwork``.
 """
 
 from __future__ import annotations
@@ -169,6 +173,10 @@ class DemandFlow:
         self.clients_of: list[list[int]] = [[] for _ in range(server_count)]
         self.load = [0] * server_count
         self.cap = [0] * server_count
+        # Work done, cumulative and deterministic for a given run: level
+        # searches, and the servers they labelled, added once per search.
+        self.level_searches = 0
+        self.servers_labelled = 0
 
     def add_client(self, neighbors: tuple[int, ...]) -> int:
         """Admit a client that ships nothing yet; returns its index."""
@@ -202,6 +210,12 @@ class DemandFlow:
     def max_flow(self, clients, servers) -> tuple[int, list[int], int]:
         """Augment the flow to a maximum in the region, one blocking flow per phase.
 
+        It returns at once when no region client is short of units.  Before
+        the first phase, each short client fills the room of its own region
+        neighbors directly, which often leaves no client short and so takes
+        no phase at all.  That picks one maximum flow among many; the cuts,
+        and so every peel, do not depend on which.
+
         Each phase labels levels by a search from the region's clients
         short of units.  The search enters only region servers, goes from a
         server only to the clients that ship into it, and runs to the end:
@@ -212,16 +226,40 @@ class DemandFlow:
         phase instead of one per depth.  Returns the units still missing
         and what the last search reached: its clients, which are the client
         side of the minimal min cut, and the number of its servers, which is
-        that side's neighborhood in the region.
+        that side's neighborhood in the region; ``(0, [], 0)`` once no client
+        is short.  Each search adds to ``level_searches`` and
+        ``servers_labelled``.
         """
-        scale, neighbors, fed, sent, load, cap = (
-            self.scale, self.neighbors, self.fed, self.sent, self.load, self.cap
+        scale, neighbors, ships, fed, sent, load, cap = (
+            self.scale, self.neighbors, self.ships, self.fed, self.sent, self.load, self.cap
         )
-        blank = [_OFF] * len(load)
-        for s in servers:
-            blank[s] = -1
+        roots = [c for c in clients if sent[c] < scale]
+        for c in roots:
+            units = scale - sent[c]
+            out = ships[c]
+            for s in neighbors[c]:
+                room = cap[s] - load[s]
+                if room > 0 and s in servers:
+                    if room > units:
+                        room = units
+                    load[s] += room
+                    out[s] = out.get(s, 0) + room
+                    into = fed[s]
+                    into[c] = into.get(c, 0) + room
+                    units -= room
+                    if not units:
+                        break
+            sent[c] = scale - units
+        blank = None
         while True:
-            roots = [c for c in clients if sent[c] < scale]
+            # A client that is full stays full: a phase only reroutes it.
+            roots = [c for c in roots if sent[c] < scale]
+            if not roots:
+                return 0, [], 0
+            if blank is None:
+                blank = [_OFF] * len(load)
+                for s in servers:
+                    blank[s] = -1
             # Clients take the even levels and servers the odd ones.
             slevel = blank[:]
             clevel = [-1] * len(sent)
@@ -250,6 +288,8 @@ class DemandFlow:
                             frontier.append(c)
                 reached += frontier
                 depth += 2
+            self.level_searches += 1
+            self.servers_labelled += labelled
             if not deepest:
                 return sum(scale - sent[c] for c in roots), reached, labelled
             if not self._block(roots, clevel, slevel, deepest):
@@ -363,12 +403,22 @@ class DemandFlow:
                     left[-1] -= passed
         return total
 
-    def stuck(self, clients, servers) -> set[int]:
-        """The region's clients that reach no server with room: the maximal min cut's.
+    def stuck(self, clients, servers) -> tuple[set[int], set[int]]:
+        """The region's side of the maximal min cut: its clients, then its servers.
 
         One reverse search from the region's servers with room: every
         region client next to a server that reaches the sink reaches it,
-        and so does every server that such a client ships into.
+        and so does every server that such a client ships into.  The cut
+        holds what the search never reaches.
+
+        Its servers are N(K) of its clients K, within the region, when every
+        region server has positive capacity (and, as always, only region
+        clients ship into region servers).  A server of N(K) is never
+        reached, since reaching it reaches its clients.  An unreached server
+        has no room, so it holds load, which some region client ships into
+        it; that client is unreached too, or it would have reached the
+        server.  A server of capacity 0 and no load is in the cut but need
+        not be in N(K).
         """
         ships, clients_of, load, cap = self.ships, self.clients_of, self.load, self.cap
         reaching = [s for s in servers if load[s] < cap[s]]
@@ -382,20 +432,23 @@ class DemandFlow:
                         if t not in seen:
                             seen.add(t)
                             reaching.append(t)
-        return clients - free
+        return clients - free, servers - seen
 
 
-def _peel(flow: DemandFlow, clients: set[int], servers: set[int], lam: Fraction) -> Peel:
+def _peel(flow: DemandFlow, clients: set[int], servers: set[int], units: int) -> tuple[int, Peel]:
     """Dinkelbach search for the largest client set K of a region maximizing |K| / |N(K)|.
 
-    N(K) counts the region's servers only.  The search starts at ``lam``,
-    a ratio that some client set of the region attains, with a flow that
-    fits every region server's capacity at it.  Let D be the flow's scale
-    and g(K) = D|K| - lam D|N(K)|: every client demands D and every region
-    server takes lam D.  A client -> server arc has no capacity, so a finite
-    cut with client set K on the source side has N(K) there too, and the
-    cheapest one costs D|C| - g(K).  So the flow saturates every client iff
-    g <= 0 everywhere, i.e. iff no ratio exceeds lam.
+    N(K) counts the region's servers only.  The search starts at ratio lam,
+    given as ``units`` = lam D for the flow's scale D, a ratio that some
+    client set of the region attains, with a flow that fits every region
+    server's capacity at it.  Every ratio is |K| / |N(K)| with |N(K)| at
+    most the region's server count, and the scale is a multiple of every
+    such count, so each ratio is carried as these integer units.  Let g(K) = D|K| - lam D|N(K)|: every client
+    demands D and every region server takes lam D.  A client -> server arc
+    has no capacity, so a finite cut with client set K on the source side
+    has N(K) there too, and the cheapest one costs D|C| - g(K).  So the
+    flow saturates every client iff g <= 0 everywhere, i.e. iff no ratio
+    exceeds lam.
 
     While the flow does not saturate, the client part K of the minimal min
     cut has g(K) > 0, so |K| / |N(K)| > lam strictly; take it as the next
@@ -407,54 +460,62 @@ def _peel(flow: DemandFlow, clients: set[int], servers: set[int], lam: Fraction)
     lam is the maximum ratio and every maximizer has g = 0.  g is
     supermodular (|N(.)| is submodular), so the maximizers are closed under
     union, and the client part of the maximal min cut, ``stuck``, is the
-    largest one.
+    largest one.  Every region server has capacity lam D > 0, so the cut's
+    servers are N(K) in the region.
 
     N(K) can take only lam D|N(K)| = D|K| units, so in that flow K ships all
     its demand into N(K) and no other client ships anything there: K's flow
-    is a spread of K with every server of N(K) at exactly lam.
+    is a spread of K with every server of N(K) at exactly lam.  Returns lam
+    D and the peel, whose ratio is the search's one ``Fraction``.
     """
+    if units <= 0:
+        raise InvariantViolation("a peel search must start at a positive ratio")
     scale = flow.scale
     while True:
-        flow.raise_caps(servers, lam.numerator * (scale // lam.denominator))
+        flow.raise_caps(servers, units)
         short, better, hood = flow.max_flow(clients, servers)
         if not short:
             break
         if not better:
             raise InvariantViolation("an unsaturated demand network left no client on the source side")
-        ratio = Fraction(len(better), hood)
-        if not ratio > lam:
+        ratio = scale * len(better) // hood
+        if not ratio > units:
             raise InvariantViolation("the Dinkelbach ratio failed to increase")
-        lam = ratio
-    tight = frozenset(flow.stuck(clients, servers))
-    peel_servers = frozenset(_neighborhood(flow.neighbors, tight) & servers)
-    if not tight or Fraction(len(tight), len(peel_servers)) != lam:
+        units = ratio
+    tight, hood = flow.stuck(clients, servers)
+    if not tight or len(tight) * scale != units * len(hood):
         raise InvariantViolation("extracted set does not attain the maximal ratio")
-    return Peel(lam, tight, peel_servers)
+    return units, Peel(Fraction(len(tight), len(hood)), frozenset(tight), frozenset(hood))
 
 
-def _peel_region(flow: DemandFlow, clients: set[int], servers: set[int], start: Callable) -> list[Peel]:
-    """Peel a region to the end; returns its peels, ratios strictly decreasing.
+def _peel_region(
+    flow: DemandFlow, clients: set[int], servers: set[int], first: int, start: Callable
+) -> list[tuple[int, Peel]]:
+    """Peel a region to the end; returns each peel with its ratio times the scale.
 
-    Each round runs ``_peel`` on what is left, from ``start(clients,
-    servers)``, and takes the peel out of the two sets; every server of the
-    region must neighbor one of its clients.  The first search keeps the
-    flow the region holds.  Each later one starts lower, so it first clears
-    the flow of the clients still to peel, which is all that reaches the
-    servers left: each peel found fills its own servers exactly.
+    The ratios strictly decrease.  The first search starts at ``first``,
+    each later one at ``start(clients, servers)`` of what is left, both in
+    units of the scale; each peel found is taken out of the two sets, and
+    every server of the region must neighbor one of its clients.  The first
+    search keeps the flow the region holds.  Each later one starts lower, so
+    it first clears the flow of the clients still to peel, which is all that
+    reaches the servers left: each peel found fills its own servers exactly.
 
     The searches never leave the region, and that loses nothing: the peels
     found so far are full, ship only into their own servers, and neighbor
     no server still in the region.  So only region clients ship into region
     servers, and a path into a found peel's server stays among full servers.
     """
-    found: list[Peel] = []
+    found: list[tuple[int, Peel]] = []
+    units = first
     while clients:
         if found:
             flow.clear(clients)
-        peel = _peel(flow, clients, servers, start(clients, servers))
-        if found and not peel.ratio < found[-1].ratio:
+            units = start(clients, servers)
+        units, peel = _peel(flow, clients, servers, units)
+        if found and not units < found[-1][0]:
             raise InvariantViolation("peeling must produce strictly decreasing ratios")
-        found.append(peel)
+        found.append((units, peel))
         clients -= peel.clients
         servers -= peel.servers
         if any(servers.isdisjoint(flow.neighbors[c]) for c in clients):
@@ -493,7 +554,7 @@ def max_ratio(adjacency: Adjacency) -> tuple[Fraction, frozenset[int]]:
         raise ValueError("max_ratio needs at least one client")
     flow, client_ids, server_ids = _fresh_flow(adjacency)
     clients, servers = set(range(len(client_ids))), set(range(len(server_ids)))
-    peel = _peel(flow, clients, servers, Fraction(len(clients), len(servers)))
+    _, peel = _peel(flow, clients, servers, flow.scale * len(clients) // len(servers))
     return peel.ratio, frozenset(client_ids[c] for c in peel.clients)
 
 
@@ -510,15 +571,20 @@ def balanced_flow(adjacency: Adjacency, server_count: int | None = None) -> Bala
     """
     flow, client_ids, server_ids = _fresh_flow(adjacency)
     clients, servers = set(range(len(client_ids))), set(range(len(server_ids)))
-    found = _peel_region(flow, clients, servers, lambda left, room: Fraction(len(left), len(room)))
+    scale = flow.scale
+
+    def share(left, room):
+        return scale * len(left) // len(room)
+
+    found = _peel_region(flow, clients, servers, share(clients, servers), share)
     necessity = {} if server_count is None else {s: Fraction(0) for s in range(server_count)}
     peels = []
-    for peel in found:
+    for _, peel in found:
         hood = frozenset(server_ids[s] for s in peel.servers)
         necessity.update(dict.fromkeys(hood, peel.ratio))
         peels.append(Peel(peel.ratio, frozenset(client_ids[c] for c in peel.clients), hood))
     edge_flow = {
-        (client_ids[c], server_ids[s]): Fraction(units, flow.scale)
+        (client_ids[c], server_ids[s]): Fraction(units, scale)
         for c, out in enumerate(flow.ships)
         for s, units in out.items()
     }
@@ -530,10 +596,11 @@ class PrefixBalance:
 
     One ``DemandFlow`` serves the whole run, at the scale D = lcm(1..S):
     every client ships D units, and a server's capacity is its necessity
-    times D.  Every ratio is |K| / |N(K)| with |N(K)| <= S, so every
-    capacity is an integer.  Between arrivals the flow fills every client
-    and every server exactly; such a flow is a balanced spread, so each
-    peel ships only into its own servers.
+    times D, kept as ``units``.  Every ratio is |K| / |N(K)| with |N(K)| <= S,
+    so every capacity is an integer, and every ratio is compared in these
+    integer units.  Between arrivals the flow fills every client and every
+    server exactly; such a flow is a balanced spread, so each peel ships
+    only into its own servers.
 
     ``add(client)`` admits the next client; a client with no neighbors
     carries no flow and changes nothing.  Let g be the least necessity among
@@ -561,8 +628,9 @@ class PrefixBalance:
         self.scale = math.lcm(*range(1, servers + 1))
         self._flow = DemandFlow(servers, self.scale)
         self.necessity: dict[int, Fraction] = {s: Fraction(0) for s in range(servers)}
-        self._units = [0] * servers  # necessity * scale, to compare in integers
+        self.units = [0] * servers  # necessity * scale
         self.peels: tuple[Peel, ...] = ()
+        self._peel_units: tuple[int, ...] = ()  # each peel's ratio * scale
         self.arrived = 0
 
     def max_necessity(self) -> Fraction:
@@ -572,40 +640,72 @@ class PrefixBalance:
         """Admit the next client; returns the servers whose necessity changed, ascending."""
         if client != self.arrived:
             raise ValueError(f"clients arrive in order; expected {self.arrived}, got {client}")
+        if client >= self.instance.client_count:
+            raise ValueError("client id beyond the instance")
         self.arrived += 1
         neighbors = self.instance.neighbors(client)
         flow = self._flow
         flow.add_client(neighbors)
         if not neighbors:
             return ()
-        gate = min(self.necessity[s] for s in neighbors)
+        units, peel_units = self.units, self._peel_units
+        gate = min(units[s] for s in neighbors)
         split = 0
-        while split < len(self.peels) and self.peels[split].ratio >= gate:
+        while split < len(peel_units) and peel_units[split] >= gate:
             split += 1
-        upper, lower = self.peels[:split], self.peels[split:]
+        upper = self.peels[:split]
 
         clients = {client}.union(*(p.clients for p in upper))
         servers = set(neighbors).union(*(p.servers for p in upper))
-        found = _peel_region(flow, clients, servers, partial(self._start, upper, client))
-        if lower and not lower[0].ratio < found[-1].ratio:
+        found = _peel_region(
+            flow, clients, servers, self._first_start(neighbors, split), partial(self._start, upper, client)
+        )
+        if split < len(peel_units) and not peel_units[split] < found[-1][0]:
             raise InvariantViolation("a re-peeled region does not sit above the peels it kept")
 
-        scale = self.scale
         changed = []
-        for peel in found:
-            units = peel.ratio.numerator * (scale // peel.ratio.denominator)
+        for ratio, peel in found:
             for s in peel.servers:
-                if self._units[s] != units:
-                    if self._units[s] > units:
+                if units[s] != ratio:
+                    if units[s] > ratio:
                         raise InvariantViolation(f"necessity of server {s} fell")
-                    self._units[s] = units
+                    units[s] = ratio
                     self.necessity[s] = peel.ratio
                     changed.append(s)
-        self.peels = (*found, *lower)
+        self.peels = (*(peel for _, peel in found), *self.peels[split:])
+        self._peel_units = (*(ratio for ratio, _ in found), *peel_units[split:])
         return tuple(sorted(changed))
 
-    def _start(self, upper, client: int, clients: set[int], servers: set[int]) -> Fraction:
-        """The best ratio among the candidate client sets still left to peel."""
+    def _first_start(self, neighbors: Sequence[int], split: int) -> int:
+        """The first search's start for a client with these neighbors, from the peel sizes alone.
+
+        The candidates are the top peel P_1, at ratio r_1, and for each i up
+        to ``split`` (0 included) the union of the peels P_1..P_i and the
+        client.  A peel's clients neighbor no server of a lower peel, and
+        each of its servers neighbors one of its clients, so the peels down
+        to P_i neighbor exactly their servers S_1..S_i, and the union's
+        neighborhood has |S_1| + ... + |S_i| + |N(c) - (S_1 + ... + S_i)|
+        servers; a neighbor of c lies in S_1..S_i iff its necessity is at
+        least r_i.  Any other peel P_k alone has ratio at most r_k < r_1, as
+        its servers are part of its neighborhood, so the best candidate is
+        the same as the neighborhood walk of ``_start`` finds.  Costs
+        O(split + deg c log deg c).
+        """
+        scale, peels, peel_units = self.scale, self.peels, self._peel_units
+        own = sorted((self.units[s] for s in neighbors), reverse=True)
+        size, hood, inside = 1, len(neighbors), 0
+        best = max(peel_units[0] if split else 0, scale // hood)
+        for i in range(split):
+            size += len(peels[i].clients)
+            hood += len(peels[i].servers)
+            while inside < len(own) and own[inside] >= peel_units[i]:
+                inside += 1
+                hood -= 1
+            best = max(best, scale * size // hood)
+        return best
+
+    def _start(self, upper, client: int, clients: set[int], servers: set[int]) -> int:
+        """The best ratio, times the scale, among the candidate client sets still left to peel."""
         union = [client] if client in clients else []
         neighbors = self._flow.neighbors
         hood = set(neighbors[client]) & servers if union else set()
@@ -620,7 +720,7 @@ class PrefixBalance:
             for size, hood_size in ((len(kept), len(kept_hood)), (len(union), len(hood))):
                 if size * best[1] > best[0] * hood_size:
                     best = (size, hood_size)
-        return Fraction(*best)
+        return self.scale * best[0] // best[1]
 
 
 def effective_clients(instance: ArrivalInstance, prefix_len: int | None = None) -> frozenset[int]:

@@ -166,12 +166,11 @@ def run_semi_matching(
     engine = SapEngine(instance, capacity=caps)
     balance = PrefixBalance(instance)
     factor = 1 + eps
-    # ceil(factor * need) in integers: a Fraction product per server costs more than the search
-    top, bottom = factor.numerator, factor.denominator
+    # ceil(factor * need) in integers, off the stream's units need * scale
+    top, per_unit = factor.numerator, factor.denominator * balance.scale
     for client in range(instance.client_count):
         for s in balance.add(client):
-            need = balance.necessity[s]
-            allowance = -(-top * need.numerator // (bottom * need.denominator))
+            allowance = -(-top * balance.units[s] // per_unit)
             if allowance < caps[s]:
                 raise InvariantViolation(f"allowance of server {s} tried to shrink")
             caps[s] = allowance

@@ -265,10 +265,44 @@ class TestFullMatchingCharacterization:
             assert full == (size == len(clients))
 
 
+def walked_first_start(instance: ArrivalInstance, peels, client: int) -> Fraction:
+    """The first search's start by walking neighborhoods: the best candidate set's ratio.
+
+    The region is the client plus every peel of ratio at least the least
+    necessity among its neighbors; the candidates are the client alone, each
+    such peel, and each union of the peels down to one plus the client.
+    """
+    nbrs = instance.neighbors(client)
+    necessity = {s: p.ratio for p in peels for s in p.servers}
+    gate = min(necessity.get(s, Fraction(0)) for s in nbrs)
+    upper = [p for p in peels if p.ratio >= gate]
+    region = set(nbrs).union(*(p.servers for p in upper))
+
+    def hood(clients):
+        return {s for c in clients for s in instance.neighbors(c)} & region
+
+    best, union = Fraction(1, len(nbrs)), {client}
+    for peel in upper:
+        union |= peel.clients
+        best = max(best, Fraction(len(peel.clients), len(hood(peel.clients))))
+        best = max(best, Fraction(len(union), len(hood(union))))
+    return best
+
+
 def assert_stream_matches(instance: ArrivalInstance) -> None:
-    """PrefixBalance against a from-scratch balanced_flow, itself certified, on every prefix."""
+    """PrefixBalance against a from-scratch balanced_flow, itself certified, on every prefix.
+
+    Before each arrival, the first search's start from peel sizes must also
+    equal the neighborhood walk's.
+    """
     stream = PrefixBalance(instance)
     for t in range(1, instance.client_count + 1):
+        nbrs = instance.neighbors(t - 1)
+        if nbrs:
+            gate = min(stream.necessity[s] for s in nbrs)
+            split = sum(1 for p in stream.peels if p.ratio >= gate)
+            start = Fraction(stream._first_start(nbrs, split), stream.scale)
+            assert start == walked_first_start(instance, stream.peels, t - 1), t
         before = dict(stream.necessity)
         changed = stream.add(t - 1)
         adjacency = instance.prefix_adjacency(t)
@@ -320,6 +354,33 @@ class TestPrefixBalance:
         stream.add(0)
         with pytest.raises(ValueError, match="in order"):
             stream.add(0)
+
+    def test_client_beyond_the_instance_leaves_the_stream_unchanged(self):
+        inst = gen_random(4, 6, 2, 1)
+        stream = PrefixBalance(inst)
+        for c in range(inst.client_count):
+            stream.add(c)
+        peels, necessity, units = stream.peels, dict(stream.necessity), list(stream.units)
+        with pytest.raises(ValueError, match="beyond the instance"):
+            stream.add(inst.client_count)
+        assert stream.arrived == inst.client_count
+        assert stream.peels is peels and stream.necessity == necessity and stream.units == units
+        assert len(stream._flow.neighbors) == inst.client_count
+
+    def test_work_counts_repeat_exactly(self):
+        def counts():
+            flows = []
+            for seed in range(4):
+                inst = gen_random(16, 32, 3, seed)
+                stream = PrefixBalance(inst)
+                for c in range(inst.client_count):
+                    stream.add(c)
+                flows.append((stream._flow.level_searches, stream._flow.servers_labelled))
+            return flows
+
+        first = counts()
+        assert first == counts()
+        assert all(searches > 0 and labelled >= searches for searches, labelled in first)
 
     def test_fewer_flows_than_from_scratch(self, flow_calls):
         stream_flows = scratch_flows = 0
@@ -376,10 +437,14 @@ def _assert_matches_flownet(flow: DemandFlow, clients: set[int], servers: set[in
     result = max_flow(net)
     assert result.value == flow.scale * len(clients) - short
     low = {c for c, node in cnode.items() if node in result.min_cut_source_side()}
-    high = {c for c, node in cnode.items() if node in result.max_cut_source_side()}
+    high_side = result.max_cut_source_side()
+    high = {c for c, node in cnode.items() if node in high_side}
     assert set(reached) == low
     assert hood == len({s for c in low for s in flow.neighbors[c] if s in servers})
-    assert flow.stuck(clients, servers) == high
+    cut_servers = {s for s, node in snode.items() if node in high_side}
+    assert flow.stuck(clients, servers) == (high, cut_servers)
+    if all(flow.cap[s] > 0 for s in servers):
+        assert cut_servers == {s for c in high for s in flow.neighbors[c] if s in servers}
 
 
 class TestDemandFlow:
@@ -440,8 +505,23 @@ class TestDemandFlow:
         assert flow.max_flow(chain | {newcomer}, servers) == (0, [], 0)
         assert all(flow.ships[i] == {i + 1: 1} for i in range(depth))
         assert flow.ships[newcomer] == {0: 1}
-        assert flow.stuck(chain | {newcomer}, servers) == chain | {newcomer}
+        assert flow.stuck(chain | {newcomer}, servers) == (chain | {newcomer}, servers)
         _check_demand_flow(flow)
+
+    def test_direct_fill_takes_no_level_search(self):
+        # Every short client finds room enough among its own neighbors, so
+        # the fill alone reaches the maximum, and the cut holds no client.
+        rng = random.Random(63)
+        for _ in range(200):
+            servers = rng.randint(1, 6)
+            flow = DemandFlow(servers, rng.randint(1, 12))
+            for _ in range(rng.randint(1, 8)):
+                flow.add_client(tuple(rng.sample(range(servers), rng.randint(1, servers))))
+            clients, all_servers = set(range(len(flow.neighbors))), set(range(servers))
+            flow.raise_caps(all_servers, flow.scale * len(clients))
+            _assert_matches_flownet(flow, clients, all_servers)
+            assert flow.level_searches == flow.servers_labelled == 0
+            assert all(sent == flow.scale for sent in flow.sent)
 
     def test_raise_caps_rejects_a_flow_that_no_longer_fits(self):
         flow = DemandFlow(1, 4)

@@ -20,8 +20,6 @@ from .balance import (
 from .errors import InvariantViolation
 from .extensions import (
     EpochRecord,
-    LoadProfile,
-    load_profile,
     opt_load,
     run_capacitated,
     run_minmax,
@@ -67,7 +65,6 @@ __all__ = [
     "FlowNetwork",
     "GenSpec",
     "InvariantViolation",
-    "LoadProfile",
     "MatchState",
     "MaxFlowResult",
     "Peel",
@@ -87,7 +84,6 @@ __all__ = [
     "gen_star_chain",
     "hopcroft_karp_size",
     "limit_feasible",
-    "load_profile",
     "max_flow",
     "max_ratio",
     "opt_load",

@@ -16,10 +16,14 @@ directly before any level search, and its reverse search returns both sides
 of the maximal min cut, so a peel's servers need no neighborhood walk.
 ``_peel`` is the one Dinkelbach search and ``_peel_region`` the one peel
 loop; they carry every ratio as integer units of the flow's scale and build
-one ``Fraction`` per peel.  ``balanced_flow`` runs them from scratch, on a
-fresh flow holding every client at zero; ``PrefixBalance`` follows an
-arrival stream, keeps its flow across prefixes, and re-peels only the
-region an arrival can change.  ``limit_feasible`` builds a ``FlowNetwork``.
+one ``Fraction`` per peel.  Every search starts at one rule: the share
+|L| / |R| of the clients and servers still to peel, or the largest floor
+among those servers, whichever is higher.  ``balanced_flow`` runs them from
+scratch, on a fresh flow holding every client at zero, with zero floors;
+``PrefixBalance`` follows an arrival stream, keeps its flow across
+prefixes, re-peels only the region an arrival can change, and takes the
+old necessities as floors, since necessities never fall as clients arrive.
+``limit_feasible`` builds a ``FlowNetwork``.
 """
 
 from __future__ import annotations
@@ -27,8 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import InvariantViolation
 from .flownet import FlowNetwork, max_flow
@@ -125,13 +128,6 @@ def limit_feasible(adjacency: Adjacency, limit: Fraction) -> bool:
     limit = Fraction(limit)
     net = _demand_network(adjacency, limit.numerator, limit.denominator)
     return max_flow(net).value == limit.denominator * len(adjacency)
-
-
-def _neighborhood(neighbors: Sequence[Sequence[int]], clients) -> set[int]:
-    hood: set[int] = set()
-    for c in clients:
-        hood.update(neighbors[c])
-    return hood
 
 
 _OFF = -2  # the level of a server outside the region, or of a dead end in a blocking flow
@@ -439,16 +435,16 @@ def _peel(flow: DemandFlow, clients: set[int], servers: set[int], units: int) ->
     """Dinkelbach search for the largest client set K of a region maximizing |K| / |N(K)|.
 
     N(K) counts the region's servers only.  The search starts at ratio lam,
-    given as ``units`` = lam D for the flow's scale D, a ratio that some
-    client set of the region attains, with a flow that fits every region
-    server's capacity at it.  Every ratio is |K| / |N(K)| with |N(K)| at
-    most the region's server count, and the scale is a multiple of every
-    such count, so each ratio is carried as these integer units.  Let g(K) = D|K| - lam D|N(K)|: every client
-    demands D and every region server takes lam D.  A client -> server arc
-    has no capacity, so a finite cut with client set K on the source side
-    has N(K) there too, and the cheapest one costs D|C| - g(K).  So the
-    flow saturates every client iff g <= 0 everywhere, i.e. iff no ratio
-    exceeds lam.
+    given as ``units`` = lam D for the flow's scale D, at most the largest
+    ratio in the region, with a flow that fits every region server's
+    capacity at it.  Every ratio is |K| / |N(K)| with |N(K)| at most the
+    region's server count, and the scale is a multiple of every such
+    count, so each ratio is carried as these integer units.  Let
+    g(K) = D|K| - lam D|N(K)|: every client demands D and every region
+    server takes lam D.  A client -> server arc has no capacity, so a
+    finite cut with client set K on the source side has N(K) there too,
+    and the cheapest one costs D|C| - g(K).  So the flow saturates every
+    client iff g <= 0 everywhere, i.e. iff no ratio exceeds lam.
 
     While the flow does not saturate, the client part K of the minimal min
     cut has g(K) > 0, so |K| / |N(K)| > lam strictly; take it as the next
@@ -461,7 +457,9 @@ def _peel(flow: DemandFlow, clients: set[int], servers: set[int], units: int) ->
     supermodular (|N(.)| is submodular), so the maximizers are closed under
     union, and the client part of the maximal min cut, ``stuck``, is the
     largest one.  Every region server has capacity lam D > 0, so the cut's
-    servers are N(K) in the region.
+    servers are N(K) in the region.  A start above the largest ratio
+    saturates at once with g < 0 on every nonempty K, so the maximal cut
+    holds no client and the search raises instead of returning a peel.
 
     N(K) can take only lam D|N(K)| = D|K| units, so in that flow K ships all
     its demand into N(K) and no other client ships anything there: K's flow
@@ -489,17 +487,31 @@ def _peel(flow: DemandFlow, clients: set[int], servers: set[int], units: int) ->
 
 
 def _peel_region(
-    flow: DemandFlow, clients: set[int], servers: set[int], first: int, start: Callable
+    flow: DemandFlow, clients: set[int], servers: set[int], floor: Sequence[int]
 ) -> list[tuple[int, Peel]]:
     """Peel a region to the end; returns each peel with its ratio times the scale.
 
-    The ratios strictly decrease.  The first search starts at ``first``,
-    each later one at ``start(clients, servers)`` of what is left, both in
-    units of the scale; each peel found is taken out of the two sets, and
-    every server of the region must neighbor one of its clients.  The first
-    search keeps the flow the region holds.  Each later one starts lower, so
-    it first clears the flow of the clients still to peel, which is all that
-    reaches the servers left: each peel found fills its own servers exactly.
+    The ratios strictly decrease.  Each peel found is taken out of the two
+    sets, and every server of the region must neighbor one of its clients.
+    The first search keeps the flow the region holds, and ``floor[s]`` is
+    at most the ratio of the peel that takes server s, in units of the
+    scale, and at least the load s holds.  Each later search starts lower, so it first clears the
+    flow of the clients still to peel, which is all that reaches the
+    servers left: each peel found fills its own servers exactly.
+
+    Every search starts at max(D|L| / |R|, the largest floor in R), for L
+    and R the clients and servers still to peel and D the scale, a
+    multiple of |R|.  That is a valid start for ``_peel``:
+
+    - L attains at least |L| / |R|, since every server of R neighbors a
+      client of L: a peel takes out all of its clients' neighbors in R.
+    - The next peel's ratio is the largest ratio that a server of R ends
+      at, so it is at least the largest floor in R.
+    - The first search's kept loads are at most their floors, so they fit
+      the capacities at the start; later searches start from no load.
+
+    A start above the maximum does not yield a wrong peel: ``_peel`` then
+    raises ``extracted set does not attain``.
 
     The searches never leave the region, and that loses nothing: the peels
     found so far are full, ship only into their own servers, and neighbor
@@ -507,11 +519,10 @@ def _peel_region(
     servers, and a path into a found peel's server stays among full servers.
     """
     found: list[tuple[int, Peel]] = []
-    units = first
     while clients:
         if found:
             flow.clear(clients)
-            units = start(clients, servers)
+        units = max(flow.scale * len(clients) // len(servers), max(floor[s] for s in servers))
         units, peel = _peel(flow, clients, servers, units)
         if found and not units < found[-1][0]:
             raise InvariantViolation("peeling must produce strictly decreasing ratios")
@@ -562,21 +573,16 @@ def balanced_flow(adjacency: Adjacency, server_count: int | None = None) -> Bala
     """Compute the unique balanced spread by iterated peeling.
 
     ``_peel_region`` peels the whole graph on a fresh flow that holds every
-    client at zero.  Each search starts at |C| / |N(C)| of what is left: a
-    peel's clients neighbor only its own servers, so every server left
-    neighbors a client left.  Each peel fixes its ratio as the necessity of
-    its servers, and its clients' flow, which no later search touches, is a
-    realizing spread.  The ratio searches are the only max flows.  Servers
+    client at zero, with every floor at zero, so each search starts at
+    |C| / |N(C)| of what is left.  Each peel fixes its ratio as the
+    necessity of its servers, and its clients' flow, which no later search
+    touches, is a realizing spread.  The ratio searches are the only max flows.  Servers
     a peel never touches end at necessity 0.
     """
     flow, client_ids, server_ids = _fresh_flow(adjacency)
     clients, servers = set(range(len(client_ids))), set(range(len(server_ids)))
     scale = flow.scale
-
-    def share(left, room):
-        return scale * len(left) // len(room)
-
-    found = _peel_region(flow, clients, servers, share(clients, servers), share)
+    found = _peel_region(flow, clients, servers, [0] * len(server_ids))
     necessity = {} if server_count is None else {s: Fraction(0) for s in range(server_count)}
     peels = []
     for _, peel in found:
@@ -610,12 +616,10 @@ class PrefixBalance:
     servers and the new client's neighbors, and re-peeling that region gives
     ratios of at least g.  ``_peel_region`` peels that region:
 
-    - Each search starts at the best ratio among candidate client sets: each
-      old peel, and the union of the old peels down to it plus the new
-      client, all cut down to what is left.  Any ratio that a set attains is
-      a valid start.
-    - The first search keeps the previous prefix's flow.  Its start is at
-      least the old top ratio, so server capacities only rise.
+    - The floors are the old ``units``.  Necessities never fall when a
+      client arrives, so each is at most the server's new ratio.
+    - The first search keeps the previous prefix's flow, which fills each
+      server to its old units exactly, so server capacities only rise.
 
     The flows never leave the region, and for the peels kept below the gate
     that loses nothing: they ship only into their own servers, which no
@@ -657,9 +661,7 @@ class PrefixBalance:
 
         clients = {client}.union(*(p.clients for p in upper))
         servers = set(neighbors).union(*(p.servers for p in upper))
-        found = _peel_region(
-            flow, clients, servers, self._first_start(neighbors, split), partial(self._start, upper, client)
-        )
+        found = _peel_region(flow, clients, servers, units)
         if split < len(peel_units) and not peel_units[split] < found[-1][0]:
             raise InvariantViolation("a re-peeled region does not sit above the peels it kept")
 
@@ -675,52 +677,6 @@ class PrefixBalance:
         self.peels = (*(peel for _, peel in found), *self.peels[split:])
         self._peel_units = (*(ratio for ratio, _ in found), *peel_units[split:])
         return tuple(sorted(changed))
-
-    def _first_start(self, neighbors: Sequence[int], split: int) -> int:
-        """The first search's start for a client with these neighbors, from the peel sizes alone.
-
-        The candidates are the top peel P_1, at ratio r_1, and for each i up
-        to ``split`` (0 included) the union of the peels P_1..P_i and the
-        client.  A peel's clients neighbor no server of a lower peel, and
-        each of its servers neighbors one of its clients, so the peels down
-        to P_i neighbor exactly their servers S_1..S_i, and the union's
-        neighborhood has |S_1| + ... + |S_i| + |N(c) - (S_1 + ... + S_i)|
-        servers; a neighbor of c lies in S_1..S_i iff its necessity is at
-        least r_i.  Any other peel P_k alone has ratio at most r_k < r_1, as
-        its servers are part of its neighborhood, so the best candidate is
-        the same as the neighborhood walk of ``_start`` finds.  Costs
-        O(split + deg c log deg c).
-        """
-        scale, peels, peel_units = self.scale, self.peels, self._peel_units
-        own = sorted((self.units[s] for s in neighbors), reverse=True)
-        size, hood, inside = 1, len(neighbors), 0
-        best = max(peel_units[0] if split else 0, scale // hood)
-        for i in range(split):
-            size += len(peels[i].clients)
-            hood += len(peels[i].servers)
-            while inside < len(own) and own[inside] >= peel_units[i]:
-                inside += 1
-                hood -= 1
-            best = max(best, scale * size // hood)
-        return best
-
-    def _start(self, upper, client: int, clients: set[int], servers: set[int]) -> int:
-        """The best ratio, times the scale, among the candidate client sets still left to peel."""
-        union = [client] if client in clients else []
-        neighbors = self._flow.neighbors
-        hood = set(neighbors[client]) & servers if union else set()
-        best = (len(union), len(hood)) if union else (0, 1)
-        for peel in upper:
-            kept = [c for c in peel.clients if c in clients]
-            if not kept:
-                continue
-            kept_hood = _neighborhood(neighbors, kept) & servers
-            union += kept
-            hood |= kept_hood
-            for size, hood_size in ((len(kept), len(kept_hood)), (len(union), len(hood))):
-                if size * best[1] > best[0] * hood_size:
-                    best = (size, hood_size)
-        return self.scale * best[0] // best[1]
 
 
 def effective_clients(instance: ArrivalInstance, prefix_len: int | None = None) -> frozenset[int]:

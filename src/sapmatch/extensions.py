@@ -27,13 +27,6 @@ from .matching import AugPath, MatchState, RunLog, SapEngine
 
 
 @dataclass(frozen=True)
-class LoadProfile:
-    load: dict[int, int]
-    max_load: int
-    opt: int
-
-
-@dataclass(frozen=True)
 class EpochRecord:
     opt: int
     start_arrival: int
@@ -64,11 +57,6 @@ def opt_load(instance: ArrivalInstance, prefix_len: int | None = None) -> int:
         else:
             lo = mid + 1
     return lo
-
-
-def load_profile(state: MatchState, opt: int) -> LoadProfile:
-    loads = {s: state.load(s) for s in range(len(state.clients_of_server))}
-    return LoadProfile(loads, max(loads.values(), default=0), opt)
 
 
 def run_capacitated(instance: ArrivalInstance) -> tuple[MatchState, RunLog]:

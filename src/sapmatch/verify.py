@@ -21,6 +21,7 @@ from .matching import MatchState, RunLog, SapEngine
 from .oracles import hopcroft_karp_size, oracle_balanced_flow, oracle_shortest_aug_path
 
 LONG_PATH_FACTOR = 4.0  # paths longer than h: at most 4 n ln(n) / h
+ORACLE_CLIENT_LIMIT = 16  # the enumeration oracle runs up to this many clients
 TOTAL_LENGTH_FACTOR = 8.0  # per doubling level: at most 8 n ln(n) edges
 
 
@@ -141,7 +142,7 @@ class _FlowChecks:
 
     All of them need every client to have a neighbor.  Only
     ``necessity-vs-oracle`` enumerates subsets, so only it is skipped above
-    ``oracle_client_limit`` clients.
+    ``ORACLE_CLIENT_LIMIT`` clients.
     """
 
     ORACLE = "necessity-vs-oracle"
@@ -153,14 +154,14 @@ class _FlowChecks:
         "expansion-tails",
     )
 
-    def __init__(self, instance: ArrivalInstance, oracle_client_limit: int):
+    def __init__(self, instance: ArrivalInstance):
         self.instance = instance
         self.skip: Optional[str] = None
         if any(not nbrs for _, nbrs in instance.arrivals):
             self.skip = "instance has a client with no neighbors"
         self.oracle_skip = self.skip
-        if self.skip is None and instance.client_count > oracle_client_limit:
-            self.oracle_skip = f"more than {oracle_client_limit} clients for the enumeration oracle"
+        if self.skip is None and instance.client_count > ORACLE_CLIENT_LIMIT:
+            self.oracle_skip = f"more than {ORACLE_CLIENT_LIMIT} clients for the enumeration oracle"
         self.failures: dict[str, CheckResult] = {}
         self.effective_adjacency: dict[int, tuple[int, ...]] = {}
         self.previous = {s: Fraction(0) for s in range(instance.server_count)}
@@ -230,9 +231,7 @@ class _FlowChecks:
         return results
 
 
-def verify_instance(
-    instance: ArrivalInstance, oracle_client_limit: int = 16
-) -> list[CheckResult]:
+def verify_instance(instance: ArrivalInstance) -> list[CheckResult]:
     """The full battery for one unit-capacity instance, from one stepped run per engine.
 
     After every arrival both matchings must be maximum (phased-search
@@ -243,7 +242,7 @@ def verify_instance(
         raise ValueError("verification replays expect unit capacities")
     n, servers = instance.client_count, instance.server_count
     naive, fast = SapEngine(instance), FastSapEngine(instance)
-    flow_checks = _FlowChecks(instance, oracle_client_limit)
+    flow_checks = _FlowChecks(instance)
     neighbors = [instance.neighbors(c) for c in range(n)]
     maximality = CheckResult("matching-maximality", True, f"{n} arrivals")
     parity = CheckResult("fast-oracle-parity", True)

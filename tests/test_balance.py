@@ -32,7 +32,7 @@ from sapmatch import (
     max_ratio,
     oracle_balanced_flow,
 )
-from sapmatch.balance import DemandFlow
+from sapmatch.balance import DemandFlow, _fresh_flow, _peel, _peel_region
 from sapmatch.verify import expansion_tail_bound, shortest_tails
 from conftest import adjacency_corpus, instance_corpus
 
@@ -82,6 +82,36 @@ class TestMaxRatio:
             want_lam, want_tight = brute_max_ratio(adjacency)
             assert lam == want_lam
             assert tight == want_tight
+
+
+class TestPeelGuards:
+    """A peel search started outside (0, largest ratio] raises instead of returning a peel."""
+
+    def test_start_above_the_largest_ratio_raises(self):
+        for adjacency in adjacency_corpus(60, seed=43):
+            lam, tight = brute_max_ratio(adjacency)
+            flow, client_ids, _ = _fresh_flow(adjacency)
+            clients, servers = set(range(len(client_ids))), set(range(len(flow.cap)))
+            units = int(lam * flow.scale)
+            _, peel = _peel(flow, clients, servers, units)
+            assert peel.ratio == lam and {client_ids[c] for c in peel.clients} == tight
+            with pytest.raises(InvariantViolation, match="does not attain"):
+                _peel(flow, clients, servers, units + 1)
+
+    def test_start_at_zero_raises(self):
+        flow, _, _ = _fresh_flow(TWO_COMPONENTS)
+        with pytest.raises(InvariantViolation, match="positive ratio"):
+            _peel(flow, {0, 1, 2}, {0, 1, 2}, 0)
+
+    def test_floor_above_a_final_ratio_raises(self):
+        # The two-client server ends at 2 and the others at 1/2; a floor of
+        # 3 on any server starts the first search above every ratio.
+        for s in range(3):
+            flow, _, _ = _fresh_flow(TWO_COMPONENTS)
+            floor = [0, 0, 0]
+            floor[s] = 3 * flow.scale
+            with pytest.raises(InvariantViolation, match="does not attain"):
+                _peel_region(flow, {0, 1, 2}, {0, 1, 2}, floor)
 
 
 class TestRepeatedNeighbors:
@@ -265,44 +295,10 @@ class TestFullMatchingCharacterization:
             assert full == (size == len(clients))
 
 
-def walked_first_start(instance: ArrivalInstance, peels, client: int) -> Fraction:
-    """The first search's start by walking neighborhoods: the best candidate set's ratio.
-
-    The region is the client plus every peel of ratio at least the least
-    necessity among its neighbors; the candidates are the client alone, each
-    such peel, and each union of the peels down to one plus the client.
-    """
-    nbrs = instance.neighbors(client)
-    necessity = {s: p.ratio for p in peels for s in p.servers}
-    gate = min(necessity.get(s, Fraction(0)) for s in nbrs)
-    upper = [p for p in peels if p.ratio >= gate]
-    region = set(nbrs).union(*(p.servers for p in upper))
-
-    def hood(clients):
-        return {s for c in clients for s in instance.neighbors(c)} & region
-
-    best, union = Fraction(1, len(nbrs)), {client}
-    for peel in upper:
-        union |= peel.clients
-        best = max(best, Fraction(len(peel.clients), len(hood(peel.clients))))
-        best = max(best, Fraction(len(union), len(hood(union))))
-    return best
-
-
 def assert_stream_matches(instance: ArrivalInstance) -> None:
-    """PrefixBalance against a from-scratch balanced_flow, itself certified, on every prefix.
-
-    Before each arrival, the first search's start from peel sizes must also
-    equal the neighborhood walk's.
-    """
+    """PrefixBalance against a from-scratch balanced_flow, itself certified, on every prefix."""
     stream = PrefixBalance(instance)
     for t in range(1, instance.client_count + 1):
-        nbrs = instance.neighbors(t - 1)
-        if nbrs:
-            gate = min(stream.necessity[s] for s in nbrs)
-            split = sum(1 for p in stream.peels if p.ratio >= gate)
-            start = Fraction(stream._first_start(nbrs, split), stream.scale)
-            assert start == walked_first_start(instance, stream.peels, t - 1), t
         before = dict(stream.necessity)
         changed = stream.add(t - 1)
         adjacency = instance.prefix_adjacency(t)

@@ -364,18 +364,6 @@ class TestEpochWarmStart:
                     h *= 2
 
 
-class TestLoadProfile:
-    def test_profile_reflects_state(self):
-        from sapmatch import load_profile
-
-        inst = ArrivalInstance.build(2, [[0], [0, 1], [0, 1]])
-        state, log, epochs = run_minmax(inst)
-        profile = load_profile(state, epochs[-1].opt)
-        assert profile.load == {0: state.load(0), 1: state.load(1)}
-        assert profile.max_load == max(state.load(0), state.load(1))
-        assert profile.max_load == profile.opt
-
-
 class TestSemiMatching:
     def test_triple_star_allowance_growth(self):
         inst = ArrivalInstance.build(1, [[0], [0], [0]])

@@ -608,13 +608,14 @@ class PrefixBalance:
     server exactly; such a flow is a balanced spread, so each peel ships
     only into its own servers.
 
-    ``add(client)`` admits the next client; a client with no neighbors
-    carries no flow and changes nothing.  Let g be the least necessity among
-    the client's neighbors.  A peel of ratio below g keeps its clients,
-    servers and flow (the locality law): the clients of the peels of ratio
-    at least g, plus the new one, have every neighbor among those peels'
-    servers and the new client's neighbors, and re-peeling that region gives
-    ratios of at least g.  ``_peel_region`` peels that region:
+    ``add(client)`` admits the next client and appends the largest necessity
+    to ``maxima``; a client with no neighbors changes nothing else.  Let g
+    be the least necessity among the client's neighbors.  A peel of ratio
+    below g keeps its clients, servers and flow (the locality law): the
+    clients of the peels of ratio at least g, plus the new one, have every
+    neighbor among those peels' servers and the new client's neighbors, and
+    re-peeling that region gives ratios of at least g.  ``_peel_region``
+    peels that region:
 
     - The floors are the old ``units``.  Necessities never fall when a
       client arrives, so each is at most the server's new ratio.
@@ -635,6 +636,7 @@ class PrefixBalance:
         self.units = [0] * servers  # necessity * scale
         self.peels: tuple[Peel, ...] = ()
         self._peel_units: tuple[int, ...] = ()  # each peel's ratio * scale
+        self.maxima: list[Fraction] = []
         self.arrived = 0
 
     def max_necessity(self) -> Fraction:
@@ -651,6 +653,7 @@ class PrefixBalance:
         flow = self._flow
         flow.add_client(neighbors)
         if not neighbors:
+            self.maxima.append(self.max_necessity())
             return ()
         units, peel_units = self.units, self._peel_units
         gate = min(units[s] for s in neighbors)
@@ -676,6 +679,7 @@ class PrefixBalance:
                     changed.append(s)
         self.peels = (*(peel for _, peel in found), *self.peels[split:])
         self._peel_units = (*(ratio for ratio, _ in found), *peel_units[split:])
+        self.maxima.append(self.peels[0].ratio)
         return tuple(sorted(changed))
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from bisect import bisect_left
 from fractions import Fraction
 
 from .balance import PrefixBalance
@@ -57,21 +56,18 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _analysis_columns(instance: ArrivalInstance) -> list[tuple[Fraction, int]]:
-    """(maximum necessity, optimal maximum load) after every arrival.
+def _analysis_columns(balance: PrefixBalance) -> list[tuple[Fraction, int]]:
+    """(maximum necessity, optimal maximum load) after every arrival, off one stream.
 
-    The necessity comes from one ``PrefixBalance`` stream, the optimum from
-    one min-max pass: it is the number of epochs opened so far.  Capacities
-    play no part in either column.
+    The stream is run to the end of its instance (a semi run took it there
+    already).  The optimum is the ceiling of the largest necessity
+    max |K|/|N(K)|: by Hall's theorem for b-matchings, load L serves every
+    servable client of a prefix iff |K| <= L * |N(K)| for every set K of
+    them.  Capacities play no part in either column.
     """
-    _, _, epochs = run_minmax(ArrivalInstance(instance.server_count, instance.arrivals))
-    starts = [epoch.start_arrival for epoch in epochs]
-    balance = PrefixBalance(instance)
-    columns = []
-    for t in range(1, instance.client_count + 1):
-        balance.add(t - 1)
-        columns.append((balance.max_necessity(), bisect_left(starts, t)))
-    return columns
+    for client in range(balance.arrived, balance.instance.client_count):
+        balance.add(client)
+    return [(alpha, math.ceil(alpha)) for alpha in balance.maxima]
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -85,6 +81,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if instance.capacities is not None and args.engine != "capacitated":
         raise ValueError(f"instance has capacities; engine {args.engine} does not take them")
 
+    balance = PrefixBalance(instance) if args.analyze else None
     log: RunLog
     if args.engine == "naive":
         state, log = run_sap(instance)
@@ -99,9 +96,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             eps = Fraction(args.epsilon if args.epsilon is not None else "1")
         except ZeroDivisionError:
             raise ValueError(f"--epsilon {args.epsilon} has a zero denominator") from None
-        state, log = run_semi_matching(instance, eps)
+        state, log = run_semi_matching(instance, eps, balance)
 
-    analysis = _analysis_columns(instance) if args.analyze else None
+    analysis = _analysis_columns(balance) if balance is not None else None
     csv_text = format_telemetry_csv(log, args.engine, analysis)
     if args.csv is not None:
         _write_text(args.csv, csv_text)

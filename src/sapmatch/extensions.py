@@ -126,14 +126,16 @@ def run_minmax(instance: ArrivalInstance) -> tuple[MatchState, RunLog, list[Epoc
 
 
 def run_semi_matching(
-    instance: ArrivalInstance, epsilon: Fraction | int | str
+    instance: ArrivalInstance, epsilon: Fraction | int | str, balance: PrefixBalance | None = None
 ) -> tuple[MatchState, RunLog]:
     """Match within allowances ceil((1+eps) * necessity), kept up to date per arrival.
 
-    ``PrefixBalance`` follows the balanced necessities from prefix to
-    prefix, and only the servers whose necessity it changed get a new
-    allowance.  Necessities only grow as clients arrive, so allowances never
-    shrink and previously placed clients always stay within them.  Searching
+    ``balance``, a fresh ``PrefixBalance`` over ``instance`` (built if not
+    given; ``run --analyze`` reads its ``maxima`` after the run), follows
+    the balanced necessities from prefix to prefix, and only the servers
+    whose necessity it changed get a new allowance.  Necessities only grow
+    as clients arrive, so allowances never shrink and previously placed
+    clients always stay within them.  Searching
     with the allowance as the server capacity is the same as unit matching in
     a graph with one copy per allowance slot: copies of a server are
     interchangeable, so path lengths and load totals agree.
@@ -150,9 +152,12 @@ def run_semi_matching(
     if any(not neighbors for _, neighbors in instance.arrivals):
         raise ValueError("semi-matching requires every client to have a neighbor")
 
+    if balance is None:
+        balance = PrefixBalance(instance)
+    elif balance.instance != instance or balance.arrived:
+        raise ValueError("semi-matching needs a fresh stream over its own instance")
     caps = [0] * instance.server_count
     engine = SapEngine(instance, capacity=caps)
-    balance = PrefixBalance(instance)
     factor = 1 + eps
     # ceil(factor * need) in integers, off the stream's units need * scale
     top, per_unit = factor.numerator, factor.denominator * balance.scale

@@ -91,15 +91,17 @@ class FastSapEngine(SapEngine):
     def _server_node(self, server: int) -> int:
         return self.n + server
 
-    def _retire(self, client: int, servers: dict[int, int], clients: set[int]) -> None:
+    def _retire(self, client: int, servers: dict[int, int]) -> None:
         """Retire the reached servers and remove every reached node from the digraph.
 
-        A failed search reaches only full unit servers and, from each, only
-        its one client, so these are exactly the nodes a search of the
-        digraph would reach.
+        The reached clients are the root plus the client of every reached
+        server (see the ``matching`` module docstring).  A failed search
+        reaches only full unit servers and, from each, only its one client,
+        so these are exactly the nodes a search of the digraph would reach.
         """
         self.dead.update(servers)
-        clients, servers = sorted(clients), sorted(servers)
+        clients = sorted([client, *(c for s in servers for c in self.state.clients_of_server[s])])
+        servers = sorted(servers)
         tree, n = self.tree, self.n
         for c in clients:
             tree.delete_node(c)

@@ -69,15 +69,14 @@ class ArrivalRecord:
 class RunLog:
     """Per-arrival telemetry plus cumulative counters.
 
-    ``long_path_counts[h]`` counts augmenting paths with more than ``h``
-    edges, for ``h`` in 1, 2, 4, 8, ...  The fast engine additionally fills
-    the search-mode and pruning counters.
+    ``count_paths_longer_than(h)`` counts augmenting paths with more than
+    ``h`` edges, off the records.  The fast engine additionally fills the
+    search-mode and pruning counters.
     """
 
     records: list[ArrivalRecord] = field(default_factory=list)
     total_replacements: int = 0
     total_path_edges: int = 0
-    long_path_counts: dict[int, int] = field(default_factory=dict)
     tree_paths: int = 0
     brute_paths: int = 0
     brute_failures: int = 0
@@ -92,10 +91,6 @@ class RunLog:
             rec = ArrivalRecord(client, True, path_edges, (path_edges - 1) // 2)
             self.total_replacements += rec.replacements
             self.total_path_edges += path_edges
-            h = 1
-            while h < path_edges:
-                self.long_path_counts[h] = self.long_path_counts.get(h, 0) + 1
-                h *= 2
         self.records.append(rec)
         return rec
 
@@ -190,10 +185,8 @@ class SapEngine:
     discoverer is the smallest-index client one layer back whose unmatched
     edge enters the server, so the path is read straight off those records.
 
-    A failed search hands what it reached to ``_retire``: the servers it
-    recorded, and the clients read off them (the root plus every client of a
-    reached server, see the module docstring).  ``_retire`` adds every
-    reached server to ``dead``, and later searches skip those servers (see
+    A failed search hands the servers it reached to ``_retire``, which adds
+    every one to ``dead``, and later searches skip those servers (see
     the module docstring for why no output changes).  That needs fixed
     capacities, so pruning is on only when the engine owns them: with
     ``capacity=None`` or any non-list sequence they are stored as a tuple,
@@ -272,10 +265,7 @@ class SapEngine:
         self.servers_visited += len(via)
         if target is None:
             if self.dead is not None:
-                reached = {client}
-                for s in via:
-                    reached.update(clients_of_server[s])
-                self._retire(client, via, reached)
+                self._retire(client, via)
             return None
 
         # Walk back from the free server through each server's first discoverer.
@@ -285,7 +275,7 @@ class SapEngine:
             reversed_vertices += (server, via[server])
         return AugPath(tuple(reversed(reversed_vertices)))
 
-    def _retire(self, client: int, servers: dict[int, int], clients: set[int]) -> None:
+    def _retire(self, client: int, servers: dict[int, int]) -> None:
         """Retire what the failed search from ``client`` reached (fixed capacities only)."""
         self.dead.update(servers)
 

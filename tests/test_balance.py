@@ -301,6 +301,7 @@ def assert_stream_matches(instance: ArrivalInstance) -> None:
     for t in range(1, instance.client_count + 1):
         before = dict(stream.necessity)
         changed = stream.add(t - 1)
+        assert len(stream.maxima) == t and stream.maxima[-1] == stream.max_necessity()
         adjacency = instance.prefix_adjacency(t)
         if adjacency:
             want = balanced_flow(adjacency, server_count=instance.server_count)

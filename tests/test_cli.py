@@ -10,7 +10,14 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import sapmatch.matching
-from sapmatch import ArrivalInstance, balanced_flow, gen_minmax_adversary, gen_random, opt_load
+from sapmatch import (
+    ArrivalInstance,
+    PrefixBalance,
+    balanced_flow,
+    gen_minmax_adversary,
+    gen_random,
+    opt_load,
+)
 from sapmatch.cli import _analysis_columns, main
 from sapmatch.verify import verify_instance
 from sapmatch.textio import format_instance
@@ -118,7 +125,7 @@ class TestRun:
         instances.append(ArrivalInstance(base.server_count, base.arrivals, (2,) * base.server_count))
         for instance in instances:
             flow_calls.clear()
-            columns = _analysis_columns(instance)
+            columns = _analysis_columns(PrefixBalance(instance))
             assert flow_calls["extensions"] == 0
             prefixes = range(1, instance.client_count + 1)
             assert [opt for _, opt in columns] == [opt_load(instance, t) for t in prefixes]
@@ -134,6 +141,27 @@ class TestRun:
                              "--csv", str(tmp_path / "cap.csv"))
         assert code == 0
         assert flow_calls["extensions"] == 0 and flow_calls["balance"] > 0
+
+    def test_semi_analyze_runs_one_stream(self, tmp_path, monkeypatch):
+        # The analysis columns come off the semi run's own stream, which does
+        # exactly the work of a plain semi run's.
+        streams = []
+        init = PrefixBalance.__init__
+
+        def recorded(self, instance):
+            init(self, instance)
+            streams.append(self)
+
+        monkeypatch.setattr(PrefixBalance, "__init__", recorded)
+        inst_file = tmp_path / "inst.txt"
+        run_cli("gen", "random", "--servers", "24", "--clients", "48", "--degree", "3",
+                "--seed", "1", "--out", str(inst_file))
+        for flags in ((), ("--analyze",)):
+            code, _, _ = run_cli("run", str(inst_file), "--engine", "semi", "--epsilon", "1/2",
+                                 *flags, "--csv", str(tmp_path / "semi.csv"))
+            assert code == 0
+        plain, analyzed = streams
+        assert analyzed._flow.level_searches == plain._flow.level_searches > 0
 
     def test_flag_engine_mismatch_exit_2(self, tmp_path):
         inst_file = tmp_path / "inst.txt"

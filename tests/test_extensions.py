@@ -281,6 +281,18 @@ class TestMinMaxAgainstFlow:
                 running = max((e.opt for e in epochs if e.start_arrival < t), default=0)
                 assert running == opt_load(inst, t)
 
+    def test_running_opt_is_the_ceiling_of_the_largest_necessity(self):
+        # Hall's theorem for b-matchings: load L serves every servable client
+        # iff |K| <= L * |N(K)| for every client set K.  The b-matching search
+        # and the peel flow share no code.
+        for inst in self.CASES:
+            _, _, epochs = run_minmax(inst)
+            stream = PrefixBalance(inst)
+            for t in range(1, inst.client_count + 1):
+                stream.add(t - 1)
+                running = max((e.opt for e in epochs if e.start_arrival < t), default=0)
+                assert running == math.ceil(stream.max_necessity()), t
+
     def test_no_max_flow(self, flow_calls):
         for inst in self.CASES:
             run_minmax(inst)
@@ -408,6 +420,17 @@ class TestSemiMatching:
             flow_calls.clear()
             run_semi_matching(inst, Fraction(1, 2))
             assert flow_calls == {"balance": alone}
+
+    def test_shares_a_fresh_stream_only(self):
+        for inst in instance_corpus(10, seed=95, max_clients=16, max_servers=8):
+            stream = PrefixBalance(inst)
+            _, log = run_semi_matching(inst, Fraction(1, 2), stream)
+            assert log_bytes(log) == log_bytes(run_semi_matching(inst, Fraction(1, 2))[1])
+            assert stream.arrived == len(stream.maxima) == inst.client_count
+            with pytest.raises(ValueError, match="fresh stream"):
+                run_semi_matching(inst, Fraction(1, 2), stream)
+            with pytest.raises(ValueError, match="fresh stream"):
+                run_semi_matching(inst, Fraction(1, 2), PrefixBalance(gen_complete(2, 2)))
 
     @pytest.mark.parametrize("eps", [Fraction(1, 2), Fraction(1)])
     def test_allowance_and_path_bounds(self, eps):

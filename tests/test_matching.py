@@ -220,14 +220,6 @@ class TestRunLog:
             assert log.total_replacements == sum(r.replacements for r in log.records)
             assert log.total_path_edges == sum(r.path_edges or 0 for r in log.records)
 
-    def test_long_path_counters_match_records(self, medium_corpus):
-        for inst in medium_corpus[:8]:
-            _, log = run_sap(inst)
-            h = 1
-            while h <= 2 * inst.client_count:
-                assert log.long_path_counts.get(h, 0) == log.count_paths_longer_than(h)
-                h *= 2
-
 
 def unpruned_engine(inst: ArrivalInstance) -> SapEngine:
     """The same engine on a shared capacity list, which turns pruning off."""
@@ -385,7 +377,7 @@ class WalkBack:
         self.servers_visited += len(dist_server)
         if target is None:
             if self.dead is not None:
-                self._retire(client, dist_server, set(dist_client))
+                self._retire(client, dist_server)
             return None
 
         reversed_vertices = [target]

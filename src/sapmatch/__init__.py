@@ -50,6 +50,7 @@ from .oracles import (
     brute_max_ratio,
     hopcroft_karp_size,
     oracle_balanced_flow,
+    oracle_opt_load,
     oracle_shortest_aug_path,
 )
 from .sink_tree import SinkDistanceTree
@@ -88,6 +89,7 @@ __all__ = [
     "max_ratio",
     "opt_load",
     "oracle_balanced_flow",
+    "oracle_opt_load",
     "oracle_shortest_aug_path",
     "run_capacitated",
     "run_fast_sap",

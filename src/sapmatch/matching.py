@@ -27,26 +27,52 @@ reached are therefore the root plus the clients of every server it reached.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import FrozenInstanceError, dataclass, field
+from typing import NamedTuple, Optional, Sequence
 
 from .instance import ArrivalInstance
 
 
-@dataclass(frozen=True)
 class AugPath:
     """An augmenting path ``client, server, client, ..., server``.
 
     Vertices at even positions are client indices, odd positions are server
     indices.  The edge count is always odd: the path starts at an unmatched
     client and ends at a server with spare capacity.
+
+    Immutable, and equal and hashed by ``vertices``.  Every successful
+    arrival builds one, so it is a ``__slots__`` class whose constructor
+    writes the slot through its descriptor, past the ``__setattr__`` that
+    keeps it immutable.
     """
 
+    __slots__ = ("vertices",)
     vertices: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.vertices) < 2 or len(self.vertices) % 2 != 0:
+    def __init__(self, vertices: tuple[int, ...]) -> None:
+        if len(vertices) < 2 or len(vertices) % 2 != 0:
             raise ValueError("an augmenting path alternates client,server,... and ends at a server")
+        _set_vertices(self, vertices)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.vertices == other.vertices
+
+    def __hash__(self) -> int:
+        return hash(self.vertices)
+
+    def __repr__(self) -> str:
+        return f"AugPath(vertices={self.vertices!r})"
+
+    def __reduce__(self):
+        return AugPath, (self.vertices,)
 
     @property
     def edge_count(self) -> int:
@@ -57,12 +83,21 @@ class AugPath:
         return (self.edge_count - 1) // 2
 
 
-@dataclass(frozen=True)
-class ArrivalRecord:
+_set_vertices = AugPath.vertices.__set__  # the slot's own setter, past __setattr__
+
+
+class ArrivalRecord(NamedTuple):
+    """One arrival's outcome: the path's edge count and replacements, if matched."""
+
     client: int
     matched: bool
     path_edges: Optional[int]
     replacements: int
+
+
+# ArrivalRecord's tuple constructor, without the keyword-argument wrapper
+# NamedTuple puts in front of it: every arrival logs one record.
+_new_record = tuple.__new__
 
 
 @dataclass
@@ -84,12 +119,13 @@ class RunLog:
 
     def record(self, client: int, path_edges: Optional[int]) -> ArrivalRecord:
         if path_edges is None:
-            rec = ArrivalRecord(client, False, None, 0)
+            rec = _new_record(ArrivalRecord, (client, False, None, 0))
         else:
             if path_edges < 1 or path_edges % 2 == 0:
                 raise ValueError("augmenting paths have an odd, positive number of edges")
-            rec = ArrivalRecord(client, True, path_edges, (path_edges - 1) // 2)
-            self.total_replacements += rec.replacements
+            replacements = (path_edges - 1) // 2
+            rec = _new_record(ArrivalRecord, (client, True, path_edges, replacements))
+            self.total_replacements += replacements
             self.total_path_edges += path_edges
         self.records.append(rec)
         return rec
@@ -170,7 +206,7 @@ def flip_path(state: MatchState, path: AugPath) -> int:
             clients_of_server[old].remove(client)
         server_of_client[client] = server
         bisect.insort(clients_of_server[server], client)
-    return path.replacements
+    return (len(verts) - 2) // 2  # path.replacements, off the vertex count
 
 
 class SapEngine:
@@ -294,7 +330,7 @@ class SapEngine:
         if path is None:
             return self.log.record(client, None)
         self.augment(path)
-        return self.log.record(client, path.edge_count)
+        return self.log.record(client, len(path.vertices) - 1)
 
     def run(self) -> tuple[MatchState, RunLog]:
         for client in range(self.instance.client_count):

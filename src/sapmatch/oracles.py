@@ -11,6 +11,8 @@ from collections import deque
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
+from .instance import ArrivalInstance
+
 _UNSEEN = -1
 
 
@@ -108,6 +110,26 @@ def hopcroft_karp_size(neighbors: Sequence[Sequence[int]], server_count: int) ->
         for c in range(n):
             if match_client[c] == _UNSEEN and dfs_phase(c, limit):
                 size += 1
+
+
+def oracle_opt_load(instance: ArrivalInstance, prefix_len: int | None = None) -> int:
+    """Least shared per-server capacity that serves every servable client of a prefix.
+
+    Tries b = 1, 2, ... and expands every server into b copies
+    (``CopyMap``); b serves the prefix when a maximum matching of the copy
+    graph (``hopcroft_karp_size``) covers every client with a neighbor.
+    Clients without neighbors are ignored; with none left the answer is 0.
+    """
+    servable = list(instance.prefix_adjacency(prefix_len).values())
+    if not servable:
+        return 0
+    b = 1
+    while True:
+        copies = CopyMap([b] * instance.server_count)
+        expanded = [tuple(copy for s in nbrs for copy in copies.range_of(s)) for nbrs in servable]
+        if hopcroft_karp_size(expanded, copies.total_copies) == len(servable):
+            return b
+        b += 1
 
 
 def brute_max_ratio(

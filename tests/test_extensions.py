@@ -23,6 +23,7 @@ from sapmatch import (
     gen_star_chain,
     hopcroft_karp_size,
     opt_load,
+    oracle_opt_load,
     run_capacitated,
     run_minmax,
     run_sap,
@@ -83,23 +84,9 @@ class TestOptLoad:
         assert opt_load(gen_minmax_adversary(4)) == 4
 
     def test_against_copy_graph_matching(self):
-        def copy_graph_covers(servable, server_count, b):
-            copies = CopyMap([b] * server_count)
-            expanded = [
-                tuple(copy for s in nbrs for copy in copies.range_of(s))
-                for nbrs in servable
-            ]
-            return hopcroft_karp_size(expanded, copies.total_copies) == len(servable)
-
         for inst in instance_corpus(10, seed=90, max_clients=12, max_servers=4):
             for t in range(inst.client_count + 1):
-                servable = [inst.neighbors(c) for c in range(t) if inst.neighbors(c)]
-                want = 0
-                if servable:
-                    want = 1
-                    while not copy_graph_covers(servable, inst.server_count, want):
-                        want += 1
-                assert opt_load(inst, t) == want
+                assert opt_load(inst, t) == oracle_opt_load(inst, t)
 
 
 class TestCopyMap:
@@ -213,6 +200,7 @@ class TestMinMax:
             assert log.matched_count() == servable
             final_opt = epochs[-1].opt if epochs else 0
             assert final_opt == opt_load(inst)
+            assert final_opt == oracle_opt_load(inst)
 
     @pytest.mark.parametrize("L", [4, 8])
     def test_adversary_forced_reassignments(self, L):
@@ -265,7 +253,11 @@ class TestMinMax:
 
 
 class TestMinMaxAgainstFlow:
-    """run_minmax decides epochs by search alone; opt_load is the flow reference."""
+    """run_minmax decides epochs by search alone; opt_load is the flow reference.
+
+    ``oracle_opt_load``, the copy-graph matching, is the reference that
+    shares no code with the engines.
+    """
 
     CASES = (
         instance_corpus(12, seed=93, max_clients=30, max_servers=6)
@@ -280,6 +272,7 @@ class TestMinMaxAgainstFlow:
             for t in range(inst.client_count + 1):
                 running = max((e.opt for e in epochs if e.start_arrival < t), default=0)
                 assert running == opt_load(inst, t)
+                assert running == oracle_opt_load(inst, t)
 
     def test_running_opt_is_the_ceiling_of_the_largest_necessity(self):
         # Hall's theorem for b-matchings: load L serves every servable client

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from typing import Optional, Sequence
 
@@ -10,13 +12,16 @@ from hypothesis import given, settings
 
 from sapmatch import (
     ArrivalInstance,
+    ArrivalRecord,
     AugPath,
     EpochRecord,
     FastSapEngine,
+    RunLog,
     SapEngine,
     balance,
     effective_necessities,
     extensions,
+    flip_path,
     gen_minmax_adversary,
     gen_random,
     gen_star_chain,
@@ -219,6 +224,91 @@ class TestRunLog:
             _, log = run_sap(inst)
             assert log.total_replacements == sum(r.replacements for r in log.records)
             assert log.total_path_edges == sum(r.path_edges or 0 for r in log.records)
+
+
+class TestKeptChecks:
+    """Every check on the per-arrival path raises, and raises before any change."""
+
+    @pytest.mark.parametrize("edges", [0, 2, -1])
+    def test_record_rejects_even_or_nonpositive_edge_counts(self, edges):
+        log = RunLog()
+        with pytest.raises(ValueError, match="odd, positive"):
+            log.record(0, edges)
+        assert log == RunLog()
+
+    def test_augment_rejects_an_absent_edge(self):
+        eng = SapEngine(ArrivalInstance.build(2, [[0]]))
+        eng.arrive(0)
+        with pytest.raises(ValueError, match="absent edge"):
+            eng.augment(AugPath((0, 1)))
+        assert eng.state.server_of_client == [None]
+        assert eng.state.clients_of_server == [[], []]
+
+    @staticmethod
+    def one_matched():
+        """Client 0 on server 0; client 1 (neighbors 0 and 1) arrived, unmatched."""
+        eng = SapEngine(ArrivalInstance.build(2, [[0], [0, 1], [1]]))
+        eng.step(0)
+        eng.arrive(1)
+        return eng
+
+    @pytest.mark.parametrize(
+        "vertices, message",
+        [
+            ((0, 1), "arrived, unmatched client"),  # start already matched
+            ((2, 1), "arrived, unmatched client"),  # start not arrived yet
+            ((1, 0, 0, 0), "unmatched edge into the server"),
+            ((1, 1, 0, 0), "matched edge out of the server"),
+            ((1, 0), "terminal server has no spare capacity"),
+        ],
+        ids=["start-matched", "start-not-arrived", "matched-edge-in", "unmatched-edge-out",
+             "terminal-full"],
+    )
+    def test_flip_path_rejects_stale_paths(self, vertices, message):
+        eng = self.one_matched()
+        with pytest.raises(ValueError, match=message):
+            flip_path(eng.state, AugPath(vertices))
+        assert eng.state.server_of_client == [0, None]
+        assert eng.state.clients_of_server == [[0], []]
+
+
+class TestValueTypes:
+    def test_arrival_record_fields_in_order_and_immutable(self):
+        assert ArrivalRecord._fields == ("client", "matched", "path_edges", "replacements")
+        rec = RunLog().record(3, 5)
+        assert type(rec) is ArrivalRecord
+        assert rec == ArrivalRecord(3, True, 5, 2)
+        assert tuple(rec) == (3, True, 5, 2)
+        assert repr(rec) == "ArrivalRecord(client=3, matched=True, path_edges=5, replacements=2)"
+        assert RunLog().record(4, None) == ArrivalRecord(4, False, None, 0)
+        with pytest.raises(AttributeError):
+            rec.matched = False
+
+    def test_aug_path_immutable(self):
+        path = AugPath((0, 1))
+        with pytest.raises(AttributeError):
+            path.vertices = (0, 2)
+        with pytest.raises(AttributeError):
+            del path.vertices
+        with pytest.raises(AttributeError):
+            path.extra = 1
+        assert path.vertices == (0, 1)
+
+    def test_aug_path_equality_by_vertices(self):
+        a, b = AugPath((2, 1, 0, 3)), AugPath(tuple([2, 1, 0, 3]))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != AugPath((2, 1, 0, 4))
+        assert a != (2, 1, 0, 3)
+        assert repr(a) == "AugPath(vertices=(2, 1, 0, 3))"
+        assert pickle.loads(pickle.dumps(a)) == a
+        assert copy.deepcopy(a) == a
+
+    @pytest.mark.parametrize("edges", [1, 3, 5])
+    def test_aug_path_counts(self, edges):
+        path = AugPath(tuple(range(edges + 1)))
+        assert path.edge_count == edges
+        assert path.replacements == (edges - 1) // 2
 
 
 def unpruned_engine(inst: ArrivalInstance) -> SapEngine:

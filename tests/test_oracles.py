@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -9,11 +10,14 @@ from typing import Optional, Sequence
 import pytest
 
 from sapmatch import (
+    ArrivalInstance,
     SapEngine,
     brute_max_ratio,
     gen_complete,
+    gen_minmax_adversary,
     hopcroft_karp_size,
     oracle_balanced_flow,
+    oracle_opt_load,
     oracle_shortest_aug_path,
 )
 from conftest import instance_corpus
@@ -53,6 +57,35 @@ class TestHopcroftKarp:
             assert hopcroft_karp_size(neighbors, servers) == exhaustive_matching_size(
                 neighbors
             )
+
+
+class TestOracleOptLoad:
+    def test_known_optima(self):
+        assert oracle_opt_load(ArrivalInstance.build(1, [[0], [0], [0]])) == 3
+        assert oracle_opt_load(gen_complete(10, 20)) == 1
+        assert oracle_opt_load(gen_minmax_adversary(4)) == 4
+
+    def test_unservable_clients_and_empty_prefixes(self):
+        inst = ArrivalInstance.build(2, [[], [0], [], [0]])
+        assert [oracle_opt_load(inst, t) for t in range(5)] == [0, 0, 1, 1, 2]
+        with pytest.raises(ValueError):
+            oracle_opt_load(inst, 5)
+
+    def test_against_exhaustive(self):
+        # The least max load over every assignment of the servable clients.
+        rng = random.Random(6)
+        for _ in range(60):
+            servers = rng.randint(1, 4)
+            lists = [
+                tuple(sorted(rng.sample(range(servers), rng.randint(0, min(3, servers)))))
+                for _ in range(rng.randint(0, 7))
+            ]
+            servable = [nbrs for nbrs in lists if nbrs]
+            want = min(
+                max(choice.count(s) for s in range(servers))
+                for choice in itertools.product(*servable)
+            )
+            assert oracle_opt_load(ArrivalInstance.build(servers, lists)) == want
 
 
 class TestBruteMaxRatio:

@@ -28,7 +28,6 @@ from .extensions import (
 from .fast_engine import FastSapEngine, default_depth_limit, run_fast_sap
 from .flownet import FlowNetwork, MaxFlowResult, max_flow
 from .generators import (
-    GenSpec,
     gen_complete,
     gen_minmax_adversary,
     gen_random,
@@ -64,7 +63,6 @@ __all__ = [
     "EpochRecord",
     "FastSapEngine",
     "FlowNetwork",
-    "GenSpec",
     "InvariantViolation",
     "MatchState",
     "MaxFlowResult",

@@ -15,7 +15,7 @@ from .balance import PrefixBalance
 from .errors import InvariantViolation
 from .extensions import run_capacitated, run_minmax, run_semi_matching
 from .fast_engine import run_fast_sap
-from .generators import GenSpec, gen_random
+from .generators import gen_complete, gen_minmax_adversary, gen_random, gen_star_chain
 from .instance import ArrivalInstance
 from .matching import RunLog, run_sap
 from .textio import format_instance, format_telemetry_csv, parse_instance
@@ -42,17 +42,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    spec = GenSpec(
-        kind=args.kind.replace("-", "_"),
-        servers=getattr(args, "servers", 0),
-        clients=getattr(args, "clients", 0),
-        degree=getattr(args, "degree", 0),
-        seed=getattr(args, "seed", 0),
-        depth=getattr(args, "depth", 0),
-        load_target=getattr(args, "load_target", 0),
-        pad_to=getattr(args, "pad_to", None),
-    )
-    _write_text(args.out, format_instance(spec.build()))
+    _write_text(args.out, format_instance(args.build(args)))
     return 0
 
 
@@ -175,19 +165,21 @@ def build_parser() -> argparse.ArgumentParser:
     g_random.add_argument("--clients", type=int, required=True)
     g_random.add_argument("--degree", type=int, required=True)
     g_random.add_argument("--seed", type=int, default=0)
+    g_random.set_defaults(build=lambda a: gen_random(a.servers, a.clients, a.degree, a.seed))
     g_complete = gen_sub.add_parser("complete")
     g_complete.add_argument("--clients", type=int, required=True)
     g_complete.add_argument("--servers", type=int, required=True)
+    g_complete.set_defaults(build=lambda a: gen_complete(a.clients, a.servers))
     g_adversary = gen_sub.add_parser("adversary")
     g_adversary.add_argument("--L", dest="load_target", type=int, required=True)
     g_adversary.add_argument("--pad-to", dest="pad_to", type=int, default=None)
+    g_adversary.set_defaults(build=lambda a: gen_minmax_adversary(a.load_target, a.pad_to))
     g_chain = gen_sub.add_parser("star-chain")
     g_chain.add_argument("--depth", type=int, required=True)
+    g_chain.set_defaults(build=lambda a: gen_star_chain(a.depth))
     for sub_parser in (g_random, g_complete, g_adversary, g_chain):
         sub_parser.add_argument("--out", default=None)
         sub_parser.set_defaults(func=cmd_gen)
-    g_adversary.set_defaults(kind="minmax_adversary")
-    g_chain.set_defaults(kind="star_chain")
 
     run = sub.add_parser("run", help="run an engine over an instance file")
     run.add_argument("file")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .instance import ArrivalInstance
 
@@ -95,28 +94,3 @@ def star_chain_probes(depth: int) -> list[int]:
         total += k
         probes.append(total - 1)
     return probes
-
-
-@dataclass(frozen=True)
-class GenSpec:
-    """A validated description of one generator call; kinds mirror the CLI."""
-
-    kind: str
-    servers: int = 0
-    clients: int = 0
-    degree: int = 0
-    seed: int = 0
-    depth: int = 0
-    load_target: int = 0
-    pad_to: int | None = None
-
-    def build(self) -> ArrivalInstance:
-        if self.kind == "random":
-            return gen_random(self.servers, self.clients, self.degree, self.seed)
-        if self.kind == "complete":
-            return gen_complete(self.clients, self.servers)
-        if self.kind == "star_chain":
-            return gen_star_chain(self.depth)
-        if self.kind == "minmax_adversary":
-            return gen_minmax_adversary(self.load_target, self.pad_to)
-        raise ValueError(f"unknown generator kind {self.kind!r}")

@@ -30,6 +30,7 @@ import bisect
 from dataclasses import FrozenInstanceError, dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
+from .errors import InvariantViolation
 from .instance import ArrivalInstance
 
 
@@ -164,15 +165,15 @@ class MatchState:
         """Raise if the two sides of the matching disagree or a capacity is exceeded."""
         for c, s in enumerate(self.server_of_client):
             if s is not None and c not in self.clients_of_server[s]:
-                raise AssertionError(f"client {c} thinks it is on server {s}, server disagrees")
+                raise InvariantViolation(f"client {c} thinks it is on server {s}, server disagrees")
         for s, clients in enumerate(self.clients_of_server):
             if len(clients) > self.capacity[s]:
-                raise AssertionError(f"server {s} exceeds its capacity")
+                raise InvariantViolation(f"server {s} exceeds its capacity")
             for c in clients:
                 if self.server_of_client[c] != s:
-                    raise AssertionError(f"server {s} lists client {c}, client disagrees")
+                    raise InvariantViolation(f"server {s} lists client {c}, client disagrees")
             if sorted(clients) != clients:
-                raise AssertionError(f"client list of server {s} is not sorted")
+                raise InvariantViolation(f"client list of server {s} is not sorted")
 
 
 def flip_path(state: MatchState, path: AugPath) -> int:

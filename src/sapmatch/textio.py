@@ -92,45 +92,34 @@ def format_instance(instance: ArrivalInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def telemetry_rows(
+def format_telemetry_csv(
     log: RunLog,
     engine: str,
     analysis: Sequence[tuple[Fraction, int]] | None = None,
-) -> list[list[str]]:
+) -> str:
     """One CSV row per arrival; ``analysis`` adds exact max-necessity and opt columns."""
     if analysis is not None and len(analysis) != len(log.records):
         raise ValueError("analysis data must cover every arrival")
-    rows = []
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(TELEMETRY_HEADER + (ANALYZE_COLUMNS if analysis is not None else ()))
     cum_replacements = 0
     cum_edges = 0
     for i, rec in enumerate(log.records):
         cum_replacements += rec.replacements
         cum_edges += rec.path_edges or 0
         row = [
-            str(i),
-            str(rec.client),
-            "1" if rec.matched else "0",
-            "" if rec.path_edges is None else str(rec.path_edges),
-            str(rec.replacements),
-            str(cum_replacements),
-            str(cum_edges),
+            i,
+            rec.client,
+            int(rec.matched),
+            rec.path_edges,  # None, for an unmatched arrival, is written as ""
+            rec.replacements,
+            cum_replacements,
+            cum_edges,
             engine,
         ]
         if analysis is not None:
             alpha, opt = analysis[i]
-            row.extend([str(alpha.numerator), str(alpha.denominator), str(opt)])
-        rows.append(row)
-    return rows
-
-
-def format_telemetry_csv(
-    log: RunLog,
-    engine: str,
-    analysis: Sequence[tuple[Fraction, int]] | None = None,
-) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    header = TELEMETRY_HEADER + (ANALYZE_COLUMNS if analysis is not None else ())
-    writer.writerow(header)
-    writer.writerows(telemetry_rows(log, engine, analysis))
+            row.extend((alpha.numerator, alpha.denominator, opt))
+        writer.writerow(row)
     return buffer.getvalue()

@@ -16,6 +16,7 @@ from typing import Optional
 from .balance import balanced_flow
 from .errors import InvariantViolation
 from .fast_engine import FastSapEngine
+from .generators import gen_complete, gen_minmax_adversary, gen_random, gen_star_chain
 from .instance import ArrivalInstance
 from .matching import MatchState, RunLog, SapEngine
 from .oracles import hopcroft_karp_size, oracle_balanced_flow, oracle_shortest_aug_path
@@ -282,16 +283,13 @@ def verify_instance(instance: ArrivalInstance) -> list[CheckResult]:
 
 def builtin_small_suite() -> list[tuple[str, ArrivalInstance]]:
     """The in-repo corpus exercised by `sapmatch verify --suite small`."""
-    from .generators import gen_complete, gen_minmax_adversary, gen_random, gen_star_chain
-    from .instance import ArrivalInstance as AI
-
     suite: list[tuple[str, ArrivalInstance]] = [
         ("complete-10x20", gen_complete(10, 20)),
         ("complete-10x10", gen_complete(10, 10)),
         ("complete-1x1", gen_complete(1, 1)),
-        ("star-3-on-1", AI.build(1, [[0], [0], [0]])),
-        ("two-components", AI.build(3, [[0], [0], [1, 2]])),
-        ("tail-worst-case", AI.build(4, [[0, 1], [1, 2, 3]])),
+        ("star-3-on-1", ArrivalInstance.build(1, [[0], [0], [0]])),
+        ("two-components", ArrivalInstance.build(3, [[0], [0], [1, 2]])),
+        ("tail-worst-case", ArrivalInstance.build(4, [[0, 1], [1, 2, 3]])),
         ("star-chain-4", gen_star_chain(4)),
         ("adversary-4", gen_minmax_adversary(4)),
     ]

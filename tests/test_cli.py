@@ -9,13 +9,17 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import sapmatch.extensions
 import sapmatch.matching
 from sapmatch import (
     ArrivalInstance,
     PrefixBalance,
+    SapEngine,
     balanced_flow,
+    gen_complete,
     gen_minmax_adversary,
     gen_random,
+    gen_star_chain,
     opt_load,
 )
 from sapmatch.cli import _analysis_columns, main
@@ -25,13 +29,53 @@ from conftest import random_instance
 
 
 def run_cli(*argv: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr, as the process would end; argparse usage errors exit."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
 class TestGen:
+    @pytest.mark.parametrize(
+        "argv, instance",
+        [
+            (("random", "--servers", "9", "--clients", "14", "--degree", "3", "--seed", "7"),
+             gen_random(9, 14, 3, 7)),
+            (("random", "--servers", "9", "--clients", "14", "--degree", "3"),
+             gen_random(9, 14, 3, 0)),
+            (("complete", "--clients", "3", "--servers", "5"), gen_complete(3, 5)),
+            (("adversary", "--L", "4"), gen_minmax_adversary(4)),
+            (("adversary", "--L", "4", "--pad-to", "40"), gen_minmax_adversary(4, 40)),
+            (("star-chain", "--depth", "6"), gen_star_chain(6)),
+        ],
+        ids=["random", "random-default-seed", "complete", "adversary", "adversary-pad-to",
+             "star-chain"],
+    )
+    def test_prints_the_generator_instance(self, argv, instance, tmp_path):
+        assert run_cli("gen", *argv) == (0, format_instance(instance), "")
+        out_file = tmp_path / "inst.txt"
+        assert run_cli("gen", *argv, "--out", str(out_file)) == (0, "", "")
+        assert out_file.read_text() == format_instance(instance)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("mystery",), "invalid choice: 'mystery'"),
+            (("adversary", "--L", "4", "--pad-to", "20"), "error: padding requires"),
+        ],
+        ids=["unknown-kind", "short-padding"],
+    )
+    def test_usage_errors_exit_2(self, argv, message):
+        code, out, err = run_cli("gen", *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert "Traceback" not in err
+
     def test_complete_shape(self):
         code, out, _ = run_cli("gen", "complete", "--clients", "10", "--servers", "20")
         assert code == 0
@@ -162,6 +206,22 @@ class TestRun:
             assert code == 0
         plain, analyzed = streams
         assert analyzed._flow.level_searches == plain._flow.level_searches > 0
+
+    def test_inconsistent_capacitated_state_exit_1(self, tmp_path, monkeypatch):
+        class Corrupting(SapEngine):
+            def run(self):
+                state, log = super().run()
+                state.clients_of_server[1].append(0)  # client 0 sits on server 0
+                return state, log
+
+        monkeypatch.setattr(sapmatch.extensions, "SapEngine", Corrupting)
+        inst_file = tmp_path / "cap.txt"
+        inst_file.write_text("servers 2\ncapacity 0 2\ncapacity 1 2\nclient 0 0\n")
+        code, out, err = run_cli("run", str(inst_file), "--engine", "capacitated")
+        assert code == 1
+        assert out == ""
+        assert err == "invariant violated: server 1 lists client 0, client disagrees\n"
+        assert "Traceback" not in err
 
     def test_flag_engine_mismatch_exit_2(self, tmp_path):
         inst_file = tmp_path / "inst.txt"

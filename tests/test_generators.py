@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from sapmatch import (
-    GenSpec,
     gen_complete,
     gen_minmax_adversary,
     gen_random,
@@ -127,22 +126,3 @@ class TestStarChain:
         with pytest.raises(ValueError):
             gen_star_chain(0)
 
-
-class TestGenSpec:
-    def test_dispatch(self):
-        assert GenSpec("complete", clients=3, servers=2).build() == gen_complete(3, 2)
-        assert GenSpec("random", servers=4, clients=5, degree=2, seed=1).build() == (
-            gen_random(4, 5, 2, seed=1)
-        )
-        assert GenSpec("star_chain", depth=3).build() == gen_star_chain(3)
-        assert GenSpec("minmax_adversary", load_target=4).build() == (
-            gen_minmax_adversary(4)
-        )
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            GenSpec("mystery").build()
-
-    def test_parameter_validation_flows_through(self):
-        with pytest.raises(ValueError):
-            GenSpec("minmax_adversary", load_target=6).build()

@@ -16,6 +16,8 @@ from sapmatch import (
     AugPath,
     EpochRecord,
     FastSapEngine,
+    InvariantViolation,
+    MatchState,
     RunLog,
     SapEngine,
     balance,
@@ -270,6 +272,42 @@ class TestKeptChecks:
             flip_path(eng.state, AugPath(vertices))
         assert eng.state.server_of_client == [0, None]
         assert eng.state.clients_of_server == [[0], []]
+
+
+class TestCheckConsistent:
+    """Each of MatchState.check_consistent's checks fires on its own corruption."""
+
+    @staticmethod
+    def two_matched() -> MatchState:
+        """Clients 0 and 1 on server 0 (capacity 2); server 1 empty."""
+        return MatchState([0, 0], [[0, 1], []], (2, 1), 2)
+
+    def test_consistent_state_passes(self):
+        self.two_matched().check_consistent()
+
+    def test_client_missing_from_its_server(self):
+        state = self.two_matched()
+        state.clients_of_server[0].remove(1)
+        with pytest.raises(InvariantViolation, match="client 1 thinks it is on server 0"):
+            state.check_consistent()
+
+    def test_server_over_capacity(self):
+        state = self.two_matched()
+        state.capacity = (1, 1)
+        with pytest.raises(InvariantViolation, match="server 0 exceeds its capacity"):
+            state.check_consistent()
+
+    def test_listed_client_names_another_server(self):
+        state = self.two_matched()
+        state.clients_of_server[1].append(1)
+        with pytest.raises(InvariantViolation, match="server 1 lists client 1, client disagrees"):
+            state.check_consistent()
+
+    def test_unsorted_client_list(self):
+        state = self.two_matched()
+        state.clients_of_server[0].reverse()
+        with pytest.raises(InvariantViolation, match="client list of server 0 is not sorted"):
+            state.check_consistent()
 
 
 class TestValueTypes:

@@ -1,13 +1,15 @@
 """Command-line front end: generate instances, run engines, verify, benchmark.
 
-Exit codes: 0 success, 1 failed check or violated internal invariant,
-2 bad usage (malformed flags, files, or instances).
+Exit codes: 0 success, 1 failed check, violated internal invariant, or
+stdout closed by its reader (as by ``| head``), 2 bad usage (malformed
+flags, files, or instances).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -213,7 +215,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout, as ``| head`` does.  Python's notes on
+        # SIGPIPE advise pointing stdout at devnull, so that the flush at
+        # exit cannot fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

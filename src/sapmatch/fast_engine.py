@@ -84,10 +84,6 @@ class FastSapEngine(SapEngine):
         self.tree = tree_type(self.sink + 1, self.sink, limit, arcs)
         self.prune_events: list[PruneEvent] = []
 
-    @property
-    def depth_limit(self) -> int:
-        return self.tree.depth_limit
-
     def _server_node(self, server: int) -> int:
         return self.n + server
 

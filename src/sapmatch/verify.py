@@ -1,9 +1,10 @@
 """Executable property checks tying the engines to their oracles and bounds.
 
-Each check returns a CheckResult; `verify_instance` runs the full battery off
-one stepped run per engine.  The flow-based checks need every client to have
-a neighbor, and the comparison with the enumeration oracle a small client
-count, so they are skipped with a notice where they do not apply.
+`verify_instance` runs the battery named in `CHECKS` off one stepped run per
+engine and reports one CheckResult per check.  The flow-based checks need
+every client to have a neighbor, the comparison with the enumeration oracle a
+small client count, and the path-length bounds two clients, so each is
+skipped with a notice where it does not apply.
 """
 
 from __future__ import annotations
@@ -18,12 +19,27 @@ from .errors import InvariantViolation
 from .fast_engine import FastSapEngine
 from .generators import gen_complete, gen_minmax_adversary, gen_random, gen_star_chain
 from .instance import ArrivalInstance
-from .matching import MatchState, RunLog, SapEngine
+from .matching import MatchState, SapEngine
 from .oracles import hopcroft_karp_size, oracle_balanced_flow, oracle_shortest_aug_path
 
 LONG_PATH_FACTOR = 4.0  # paths longer than h: at most 4 n ln(n) / h
 ORACLE_CLIENT_LIMIT = 16  # the enumeration oracle runs up to this many clients
 TOTAL_LENGTH_FACTOR = 8.0  # per doubling level: at most 8 n ln(n) edges
+
+# The battery, in report order; the last five are the flow checks.
+CHECKS = (
+    "matching-maximality",
+    "replacement-accounting",
+    "long-path-counts",
+    "total-path-length",
+    "engine-outcome-parity",
+    "fast-oracle-parity",
+    "necessity-vs-oracle",
+    "necessity-monotone",
+    "necessity-locality",
+    "balanced-flow-invariants",
+    "expansion-tails",
+)
 
 
 @dataclass(frozen=True)
@@ -97,187 +113,119 @@ def shortest_tails(instance: ArrivalInstance, state: MatchState) -> list[Optiona
     return [dist_server.get(s) for s in range(instance.server_count)]
 
 
-def check_replacement_accounting(log: RunLog) -> CheckResult:
-    cum_r = sum(r.replacements for r in log.records)
-    cum_e = sum(r.path_edges or 0 for r in log.records)
-    ok = cum_r == log.total_replacements and cum_e == log.total_path_edges
-    for rec in log.records:
-        if rec.matched and rec.replacements != (rec.path_edges - 1) // 2:
-            ok = False
-    return CheckResult("replacement-accounting", ok)
-
-
-def check_long_path_counts(log: RunLog, n: int) -> CheckResult:
-    if n < 2:
-        return CheckResult("long-path-counts", None, "needs at least two clients")
-    h = 1
-    while h <= 2 * n:
-        count = log.count_paths_longer_than(h)
-        if count > long_path_bound(n, h):
-            return CheckResult(
-                "long-path-counts",
-                False,
-                f"{count} paths longer than {h}, bound {long_path_bound(n, h):.2f}",
-            )
-        h *= 2
-    return CheckResult("long-path-counts", True)
-
-
-def check_total_path_length(log: RunLog, n: int) -> CheckResult:
-    if n < 2:
-        return CheckResult("total-path-length", None, "needs at least two clients")
-    bound = total_length_bound(n)
-    ok = log.total_path_edges <= bound
-    return CheckResult(
-        "total-path-length", ok, f"{log.total_path_edges} edges, bound {bound:.1f}"
-    )
-
-
-class _FlowChecks:
-    """Per-arrival necessity checks, fed the state of a stepped ``SapEngine``.
-
-    All of them need every client to have a neighbor.  Only
-    ``necessity-vs-oracle`` enumerates subsets, so only it is skipped above
-    ``ORACLE_CLIENT_LIMIT`` clients.
-    """
-
-    ORACLE = "necessity-vs-oracle"
-    NAMES = (
-        ORACLE,
-        "necessity-monotone",
-        "necessity-locality",
-        "balanced-flow-invariants",
-        "expansion-tails",
-    )
-
-    def __init__(self, instance: ArrivalInstance):
-        self.instance = instance
-        self.skip: Optional[str] = None
-        if any(not nbrs for _, nbrs in instance.arrivals):
-            self.skip = "instance has a client with no neighbors"
-        self.oracle_skip = self.skip
-        if self.skip is None and instance.client_count > ORACLE_CLIENT_LIMIT:
-            self.oracle_skip = f"more than {ORACLE_CLIENT_LIMIT} clients for the enumeration oracle"
-        self.failures: dict[str, CheckResult] = {}
-        self.effective_adjacency: dict[int, tuple[int, ...]] = {}
-        self.previous = {s: Fraction(0) for s in range(instance.server_count)}
-
-    def fail(self, name: str, detail: str) -> None:
-        self.failures.setdefault(name, CheckResult(name, False, detail))
-
-    def arrival(self, c: int, matched: bool, state: MatchState) -> None:
-        if self.skip is not None:
-            return
-        instance, fail, previous = self.instance, self.fail, self.previous
-        # The matching stays maximum, so the clients the run matched on arrival
-        # are the effective clients (see ``effective_clients``).
-        if matched:
-            self.effective_adjacency[c] = instance.neighbors(c)
-        prefix = instance.prefix_adjacency(c + 1)
-        flow = balanced_flow(prefix, server_count=instance.server_count)
-        try:
-            flow.check(prefix)
-        except Exception as exc:  # noqa: BLE001 - surfaced as a check failure
-            fail("balanced-flow-invariants", f"arrival {c}: {exc}")
-        if self.oracle_skip is None:
-            oracle = oracle_balanced_flow(prefix, server_count=instance.server_count)
-            if oracle != flow.necessity:
-                fail(self.ORACLE, f"arrival {c}: maps differ")
-        for s in range(instance.server_count):
-            if flow.necessity[s] < previous[s]:
-                fail("necessity-monotone", f"arrival {c}: server {s} decreased")
-        neighbors = instance.neighbors(c)
-        if neighbors:
-            gate = min(previous[s] for s in neighbors)
-            for s in range(instance.server_count):
-                if previous[s] < gate and flow.necessity[s] != previous[s]:
-                    fail(
-                        "necessity-locality",
-                        f"arrival {c}: server {s} below the gate changed",
-                    )
-        self.previous = flow.necessity
-
-        # Expansion: a server that is not fully necessary has a short way out.
-        effective = balanced_flow(
-            self.effective_adjacency, server_count=instance.server_count
-        ).necessity
-        if any(v > 1 for v in effective.values()):
-            raise InvariantViolation("effective necessities can never exceed 1")
-        count = len(self.effective_adjacency)
-        tails = shortest_tails(instance, state)
-        for s in range(instance.server_count):
-            if effective[s] >= 1:
-                continue
-            bound = expansion_tail_bound(1 - effective[s], count)
-            tail = tails[s]
-            if tail is None or tail > bound:
-                fail(
-                    "expansion-tails",
-                    f"arrival {c}: server {s} tail {tail}, bound {bound}",
-                )
-
-    def results(self) -> list[CheckResult]:
-        results = []
-        for name in self.NAMES:
-            skip = self.oracle_skip if name == self.ORACLE else self.skip
-            if skip is not None:
-                results.append(CheckResult(name, None, skip))
-            else:
-                results.append(self.failures.get(name, CheckResult(name, True)))
-        return results
-
-
 def verify_instance(instance: ArrivalInstance) -> list[CheckResult]:
     """The full battery for one unit-capacity instance, from one stepped run per engine.
 
     After every arrival both matchings must be maximum (phased-search
     oracle), the fast engine's path length must match a fresh snapshot
-    search, and the naive engine's state feeds the flow checks.
+    search, and the naive engine's state feeds the flow checks.  A check
+    is skipped where ``skips`` names it, else it passes unless ``fail``
+    recorded a failure, and then it reports the first.
     """
     if not instance.has_unit_capacities():
         raise ValueError("verification replays expect unit capacities")
     n, servers = instance.client_count, instance.server_count
+    skips: dict[str, str] = {}
+    if n < 2:
+        skips.update(dict.fromkeys(("long-path-counts", "total-path-length"),
+                                   "needs at least two clients"))
+    # Every flow check needs every client to have a neighbor; only the
+    # comparison with the enumeration oracle needs few clients.
+    isolated = any(not nbrs for _, nbrs in instance.arrivals)
+    if isolated:
+        skips.update(dict.fromkeys(CHECKS[6:], "instance has a client with no neighbors"))
+    elif n > ORACLE_CLIENT_LIMIT:
+        skips["necessity-vs-oracle"] = (
+            f"more than {ORACLE_CLIENT_LIMIT} clients for the enumeration oracle"
+        )
+    failures: dict[str, str] = {}
+    passes = {"matching-maximality": f"{n} arrivals"}
+
+    def fail(name: str, detail: str = "") -> None:
+        failures.setdefault(name, detail)
+
     naive, fast = SapEngine(instance), FastSapEngine(instance)
-    flow_checks = _FlowChecks(instance)
     neighbors = [instance.neighbors(c) for c in range(n)]
-    maximality = CheckResult("matching-maximality", True, f"{n} arrivals")
-    parity = CheckResult("fast-oracle-parity", True)
     size_naive = size_fast = 0
+    effective_adjacency: dict[int, tuple[int, ...]] = {}
+    previous = {s: Fraction(0) for s in range(servers)}
     for c in range(n):
         snapshot = fast.state.server_of_client + [None]
         rec, fast_rec = naive.step(c), fast.step(c)
         size_naive += rec.matched
         size_fast += fast_rec.matched
         want = hopcroft_karp_size(neighbors[: c + 1], servers)
-        if maximality.passed and (size_naive != want or size_fast != want):
-            maximality = CheckResult(
-                "matching-maximality",
-                False,
-                f"after arrival {c}: naive {size_naive}, fast {size_fast}, maximum {want}",
-            )
+        if size_naive != want or size_fast != want:
+            fail("matching-maximality",
+                 f"after arrival {c}: naive {size_naive}, fast {size_fast}, maximum {want}")
         want = oracle_shortest_aug_path(neighbors, snapshot, [1] * servers, c)
-        if parity.passed and fast_rec.path_edges != want:
-            parity = CheckResult(
-                "fast-oracle-parity",
-                False,
-                f"arrival {c}: engine {fast_rec.path_edges}, oracle {want}",
-            )
-        flow_checks.arrival(c, rec.matched, naive.state)
+        if fast_rec.path_edges != want:
+            fail("fast-oracle-parity", f"arrival {c}: engine {fast_rec.path_edges}, oracle {want}")
+        if isolated:
+            continue
+
+        # The matching stays maximum, so the clients the run matched on arrival
+        # are the effective clients (see ``effective_clients``).
+        if rec.matched:
+            effective_adjacency[c] = neighbors[c]
+        prefix = instance.prefix_adjacency(c + 1)
+        flow = balanced_flow(prefix, server_count=servers)
+        try:
+            flow.check(prefix)
+        except Exception as exc:  # noqa: BLE001 - surfaced as a check failure
+            fail("balanced-flow-invariants", f"arrival {c}: {exc}")
+        if "necessity-vs-oracle" not in skips:
+            if oracle_balanced_flow(prefix, server_count=servers) != flow.necessity:
+                fail("necessity-vs-oracle", f"arrival {c}: maps differ")
+        gate = min(previous[s] for s in neighbors[c])
+        for s in range(servers):
+            if flow.necessity[s] < previous[s]:
+                fail("necessity-monotone", f"arrival {c}: server {s} decreased")
+            if previous[s] < gate and flow.necessity[s] != previous[s]:
+                fail("necessity-locality", f"arrival {c}: server {s} below the gate changed")
+        previous = flow.necessity
+
+        # Expansion: a server that is not fully necessary has a short way out.
+        effective = balanced_flow(effective_adjacency, server_count=servers).necessity
+        if any(v > 1 for v in effective.values()):
+            raise InvariantViolation("effective necessities can never exceed 1")
+        tails = shortest_tails(instance, naive.state)
+        for s in range(servers):
+            if effective[s] >= 1:
+                continue
+            bound = expansion_tail_bound(1 - effective[s], len(effective_adjacency))
+            if tails[s] is None or tails[s] > bound:
+                fail("expansion-tails", f"arrival {c}: server {s} tail {tails[s]}, bound {bound}")
     fast.tree.validate_against_bfs()  # what ``FastSapEngine.run`` does last
+
     log = naive.log
+    if (
+        sum(r.replacements for r in log.records) != log.total_replacements
+        or sum(r.path_edges or 0 for r in log.records) != log.total_path_edges
+        or any(r.matched and r.replacements != (r.path_edges - 1) // 2 for r in log.records)
+    ):
+        fail("replacement-accounting")
+    if n >= 2:
+        h = 1
+        while h <= 2 * n:
+            count = log.count_paths_longer_than(h)
+            if count > long_path_bound(n, h):
+                fail("long-path-counts",
+                     f"{count} paths longer than {h}, bound {long_path_bound(n, h):.2f}")
+            h *= 2
+        bound = total_length_bound(n)
+        passes["total-path-length"] = f"{log.total_path_edges} edges, bound {bound:.1f}"
+        if log.total_path_edges > bound:
+            fail("total-path-length", passes["total-path-length"])
     # Ties may lead the two engines to different matchings, so per-arrival
     # lengths are not comparable across engines; matched/unmatched is.
-    outcomes_match = [r.matched for r in log.records] == [
-        r.matched for r in fast.log.records
-    ]
+    if [r.matched for r in log.records] != [r.matched for r in fast.log.records]:
+        fail("engine-outcome-parity")
+
     return [
-        maximality,
-        check_replacement_accounting(log),
-        check_long_path_counts(log, n),
-        check_total_path_length(log, n),
-        CheckResult("engine-outcome-parity", outcomes_match),
-        parity,
-        *flow_checks.results(),
+        CheckResult(name, None, skips[name]) if name in skips
+        else CheckResult(name, name not in failures, failures.get(name, passes.get(name, "")))
+        for name in CHECKS
     ]
 
 

@@ -3,16 +3,26 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
+import os
 import random
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import sapmatch
 import sapmatch.extensions
 import sapmatch.matching
+import sapmatch.verify
 from sapmatch import (
     ArrivalInstance,
+    BalancedFlow,
+    InvariantViolation,
     PrefixBalance,
     SapEngine,
     balanced_flow,
@@ -313,6 +323,163 @@ class TestVerify:
         inst = ArrivalInstance.build(2, [[0], [0, 1]], capacities=[2, 1])
         with pytest.raises(ValueError):
             verify_instance(inst)
+
+
+# The battery's checks, in the order ``sapmatch verify`` prints them.
+CHECKS = (
+    "matching-maximality",
+    "replacement-accounting",
+    "long-path-counts",
+    "total-path-length",
+    "engine-outcome-parity",
+    "fast-oracle-parity",
+    "necessity-vs-oracle",
+    "necessity-monotone",
+    "necessity-locality",
+    "balanced-flow-invariants",
+    "expansion-tails",
+)
+
+# Four clients, so the enumeration oracle runs.  Arrival 1 takes a 3-edge
+# path, arrival 3 finds none, and no client neighbours server 3.
+SMALL = "servers 4\nclient 0 0 1\nclient 1 0\nclient 2 1 2\nclient 3 1\n"
+
+
+def _server_3_necessity(monkeypatch, necessity: Fraction, prefixes: range) -> None:
+    """Make ``balanced_flow`` give server 3 a made-up necessity on prefixes of these sizes.
+
+    Server 3 carries no flow and neighbours no client, so ``BalancedFlow.check``
+    still passes the doctored answer.
+    """
+    real = sapmatch.verify.balanced_flow
+
+    def doctored(adjacency, server_count=None):
+        flow = real(adjacency, server_count=server_count)
+        if len(adjacency) in prefixes:
+            flow = dataclasses.replace(flow, necessity={**flow.necessity, 3: necessity})
+        return flow
+
+    monkeypatch.setattr(sapmatch.verify, "balanced_flow", doctored)
+
+
+class _MiscountingEngine(SapEngine):
+    """Counts one replacement too many in the run total at arrival 1."""
+
+    def step(self, client):
+        rec = super().step(client)
+        if client == 1:
+            self.log.total_replacements += 1
+        return rec
+
+
+class _MislabellingEngine(SapEngine):
+    """Logs arrival 0 as unmatched, while reporting it matched to the caller."""
+
+    def step(self, client):
+        rec = super().step(client)
+        if client == 0:
+            self.log.records[-1] = rec._replace(matched=False)
+        return rec
+
+
+def _off_by_one(name):
+    """Make ``sapmatch.verify.<name>`` answer one more than it should, where it answers."""
+    def patch(monkeypatch):
+        real = getattr(sapmatch.verify, name)
+
+        def wrong(*args):
+            want = real(*args)
+            return None if want is None else want + 1
+
+        monkeypatch.setattr(sapmatch.verify, name, wrong)
+    return patch
+
+
+def _raise_in_check(monkeypatch):
+    def check(flow, adjacency):
+        raise InvariantViolation("doctored")
+    monkeypatch.setattr(BalancedFlow, "check", check)
+
+
+class TestVerifyFailures:
+    """Every check of the battery fails when one name it uses is broken.
+
+    Each case asserts the check's first failure, with its detail, and that
+    every other check still prints and passes.
+    """
+
+    @pytest.mark.parametrize(
+        "breakage, failing",
+        [
+            (_off_by_one("hopcroft_karp_size"),
+             {"matching-maximality": "after arrival 0: naive 1, fast 1, maximum 2"}),
+            (lambda mp: mp.setattr(sapmatch.verify, "SapEngine", _MiscountingEngine),
+             {"replacement-accounting": ""}),
+            (lambda mp: mp.setattr(sapmatch.verify, "LONG_PATH_FACTOR", 0),
+             {"long-path-counts": "1 paths longer than 1, bound 0.00"}),
+            (lambda mp: mp.setattr(sapmatch.verify, "TOTAL_LENGTH_FACTOR", 0),
+             {"total-path-length": "5 edges, bound 0.0"}),
+            (lambda mp: mp.setattr(sapmatch.verify, "SapEngine", _MislabellingEngine),
+             {"engine-outcome-parity": ""}),
+            (_off_by_one("oracle_shortest_aug_path"),
+             {"fast-oracle-parity": "arrival 0: engine 1, oracle 2"}),
+            (lambda mp: mp.setattr(sapmatch.verify, "oracle_balanced_flow", lambda *a, **k: {}),
+             {"necessity-vs-oracle": "arrival 0: maps differ"}),
+            (lambda mp: _server_3_necessity(mp, Fraction(1), range(1, 2)),
+             {"necessity-vs-oracle": "arrival 0: maps differ",
+              "necessity-monotone": "arrival 1: server 3 decreased"}),
+            (lambda mp: _server_3_necessity(mp, Fraction(1), range(2, 5)),
+             {"necessity-vs-oracle": "arrival 1: maps differ",
+              "necessity-locality": "arrival 1: server 3 below the gate changed"}),
+            (_raise_in_check, {"balanced-flow-invariants": "arrival 0: doctored"}),
+            (lambda mp: mp.setattr(sapmatch.verify, "expansion_tail_bound", lambda *a: -1),
+             {"expansion-tails": "arrival 0: server 0 tail 2, bound -1"}),
+        ],
+        ids=["maximality", "replacement-accounting", "long-path-counts", "total-path-length",
+             "outcome-parity", "oracle-parity", "necessity-oracle", "necessity-monotone",
+             "necessity-locality", "flow-invariants", "expansion-tails"],
+    )
+    def test_first_failure_is_reported(self, breakage, failing, tmp_path, monkeypatch):
+        path = tmp_path / "small.txt"
+        path.write_text(SMALL)
+        breakage(monkeypatch)
+        code, out, err = run_cli("verify", str(path))
+        lines = out.splitlines()
+        assert len(lines) == len(CHECKS) + 1
+        for name, line in zip(CHECKS, lines):
+            if name in failing:
+                detail = f" ({failing[name]})" if failing[name] else ""
+                assert line == f"FAIL {path}: {name}{detail}"
+            else:
+                assert line.startswith(f"PASS {path}: {name}")
+        assert lines[-1] == f"FAIL overall: {len(failing)} failing checks"
+        assert (code, err) == (1, "")
+
+    def test_effective_necessity_above_one_is_an_invariant_violation(self, tmp_path,
+                                                                     monkeypatch):
+        path = tmp_path / "small.txt"
+        path.write_text(SMALL)
+        _server_3_necessity(monkeypatch, Fraction(2), range(5))
+        assert run_cli("verify", str(path)) == (
+            1, "", "invariant violated: effective necessities can never exceed 1\n")
+
+
+class TestClosedStdout:
+    def test_reader_closing_the_pipe_exits_1_quietly(self):
+        src = str(Path(sapmatch.__file__).resolve().parents[1])
+        # Block-buffered, as stdout into a pipe is by default; 1.7 MB is far
+        # more than a pipe holds, so the writer is still writing when the
+        # reader closes its end.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = src
+        argv = [sys.executable, "-m", "sapmatch.cli", "gen", "random", "--servers", "4",
+                "--clients", "100000", "--degree", "2"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as proc:
+            assert proc.stdout.readline() == b"servers 4\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=120) == 1
+            assert proc.stderr.read() == b""
 
 
 class TestBench:

@@ -21,8 +21,10 @@ one ``Fraction`` per peel.  Every search starts at one rule: the share
 among those servers, whichever is higher.  ``balanced_flow`` runs them from
 scratch, on a fresh flow holding every client at zero, with zero floors;
 ``PrefixBalance`` follows an arrival stream, keeps its flow across
-prefixes, re-peels only the region an arrival can change, and takes the
-old necessities as floors, since necessities never fall as clients arrive.
+prefixes, keeps every peel an arrival cannot change (those below the new
+client's gate, and top peels it proves out of reach by a neighbor-slack
+test with no flow), re-peels only the rest, and takes the old necessities
+as floors, since necessities never fall as clients arrive.
 ``limit_feasible`` builds a ``FlowNetwork``.
 """
 
@@ -625,6 +627,26 @@ class PrefixBalance:
     The flows never leave the region, and for the peels kept below the gate
     that loses nothing: they ship only into their own servers, which no
     region client neighbors.
+
+    Above the gate, the top peels the new client c cannot reach are kept as
+    well, with no search.  Walk the peels from the top; let peel k have
+    ratio r and N' be c's neighbors outside the peels kept so far.  Keep
+    peel k when the sum over N' of r - v(s) exceeds 1, for v the old
+    necessities (in units: the sum of R_k - units[s] exceeds D), and stop at
+    the first peel that fails.  That is exact.  With the peels above k
+    kept, what is left is the old graph less those peels, whose peels are
+    k, k+1, ..., so every server left has v <= r, plus c with neighbors N'.
+    An old client set K0 that is left ships all its demand into N(K0), so
+    |K0| <= the sum of v over N(K0).  If K0 + c reached ratio r, then
+    |K0| + 1 >= r |N(K0) + N'|, so 1 >= the sum of r - v over N(K0) plus
+    the sum of r over N' - N(K0), which is at least the sum of r - v over
+    N', since no term is negative.  So when the test passes, every set
+    holding c stays below r, the old sets are as they were, and peel k
+    stays the largest set of the largest ratio in what is left.  The region
+    re-peeled is then c and the peels from the first that fails down to
+    the gate, with c's neighbors less the kept peels' servers.  A kept
+    peel's clients neighbor only kept servers, which stay full, so the
+    flows lose nothing by not entering them.
     """
 
     def __init__(self, instance: ArrivalInstance):
@@ -638,6 +660,9 @@ class PrefixBalance:
         self._peel_units: tuple[int, ...] = ()  # each peel's ratio * scale
         self.maxima: list[Fraction] = []
         self.arrived = 0
+        # Peels an arrival kept by the neighbor-slack test, with no search;
+        # cumulative and deterministic, like the flow's ``level_searches``.
+        self.kept_peels = 0
 
     def max_necessity(self) -> Fraction:
         return self.peels[0].ratio if self.peels else Fraction(0)
@@ -660,11 +685,22 @@ class PrefixBalance:
         split = 0
         while split < len(peel_units) and peel_units[split] >= gate:
             split += 1
-        upper = self.peels[:split]
+        # Keep the top peels that the new client cannot reach (see the class docstring).
+        scale, peels = self.scale, self.peels
+        rest = neighbors
+        keep = 0
+        while keep < split and sum(peel_units[keep] - units[s] for s in rest) > scale:
+            kept = peels[keep].servers
+            rest = [s for s in rest if s not in kept]
+            keep += 1
+        self.kept_peels += keep
+        upper = peels[keep:split]
 
         clients = {client}.union(*(p.clients for p in upper))
-        servers = set(neighbors).union(*(p.servers for p in upper))
+        servers = set(rest).union(*(p.servers for p in upper))
         found = _peel_region(flow, clients, servers, units)
+        if keep and not found[0][0] < peel_units[keep - 1]:
+            raise InvariantViolation("a re-peeled region does not sit below the peels it kept")
         if split < len(peel_units) and not peel_units[split] < found[-1][0]:
             raise InvariantViolation("a re-peeled region does not sit above the peels it kept")
 
@@ -677,8 +713,8 @@ class PrefixBalance:
                     units[s] = ratio
                     self.necessity[s] = peel.ratio
                     changed.append(s)
-        self.peels = (*(peel for _, peel in found), *self.peels[split:])
-        self._peel_units = (*(ratio for ratio, _ in found), *peel_units[split:])
+        self.peels = (*peels[:keep], *(peel for _, peel in found), *peels[split:])
+        self._peel_units = (*peel_units[:keep], *(ratio for ratio, _ in found), *peel_units[split:])
         self.maxima.append(self.peels[0].ratio)
         return tuple(sorted(changed))
 

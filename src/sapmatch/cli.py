@@ -37,7 +37,17 @@ def _read_instance(path: str) -> ArrivalInstance:
 
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
-        sys.stdout.write(text)
+        out = sys.stdout
+        raw = getattr(out, "buffer", None)
+        if raw is None:  # a text-only stream, as ``redirect_stdout`` installs
+            out.write(text)
+            return
+        # Under ``python -u`` the binary layer is the raw file, whose write
+        # may take only part of the data; what it returns says how much.
+        out.flush()
+        data = memoryview(text.encode(out.encoding, out.errors))
+        while data:
+            data = data[raw.write(data):]
     else:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -108,7 +118,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         summary += f" epochs={len(epochs)} final_opt={epochs[-1].opt if epochs else 0}"
     print(summary)
     if args.csv is None:
-        sys.stdout.write(csv_text)
+        _write_text(None, csv_text)
     return 0
 
 

@@ -146,7 +146,7 @@ def verify_instance(instance: ArrivalInstance) -> list[CheckResult]:
 
     naive, fast = SapEngine(instance), FastSapEngine(instance)
     neighbors = [instance.neighbors(c) for c in range(n)]
-    size_naive = size_fast = 0
+    size_naive = size_fast = replaced = walked = 0
     effective_adjacency: dict[int, tuple[int, ...]] = {}
     previous = {s: Fraction(0) for s in range(servers)}
     for c in range(n):
@@ -161,6 +161,22 @@ def verify_instance(instance: ArrivalInstance) -> list[CheckResult]:
         want = oracle_shortest_aug_path(neighbors, snapshot, [1] * servers, c)
         if fast_rec.path_edges != want:
             fail("fast-oracle-parity", f"arrival {c}: engine {fast_rec.path_edges}, oracle {want}")
+        logged = naive.log.records[-1]
+        replaced += logged.replacements
+        walked += logged.path_edges or 0
+        if logged.matched and logged.replacements != (logged.path_edges - 1) // 2:
+            fail("replacement-accounting",
+                 f"arrival {c}: {logged.replacements} replacements on {logged.path_edges} edges")
+        totals = naive.log.total_replacements, naive.log.total_path_edges
+        if totals != (replaced, walked):
+            fail("replacement-accounting", f"after arrival {c}: totals {totals[0]} replacements, "
+                                           f"{totals[1]} edges; records {replaced}, {walked}")
+        # Ties may lead the two engines to different matchings, so per-arrival
+        # lengths are not comparable across engines; matched/unmatched is.
+        outcomes = logged.matched, fast.log.records[-1].matched
+        if outcomes[0] != outcomes[1]:
+            naive_says, fast_says = ("matched" if m else "unmatched" for m in outcomes)
+            fail("engine-outcome-parity", f"arrival {c}: naive {naive_says}, fast {fast_says}")
         if isolated:
             continue
 
@@ -199,12 +215,6 @@ def verify_instance(instance: ArrivalInstance) -> list[CheckResult]:
     fast.tree.validate_against_bfs()  # what ``FastSapEngine.run`` does last
 
     log = naive.log
-    if (
-        sum(r.replacements for r in log.records) != log.total_replacements
-        or sum(r.path_edges or 0 for r in log.records) != log.total_path_edges
-        or any(r.matched and r.replacements != (r.path_edges - 1) // 2 for r in log.records)
-    ):
-        fail("replacement-accounting")
     if n >= 2:
         h = 1
         while h <= 2 * n:
@@ -217,10 +227,6 @@ def verify_instance(instance: ArrivalInstance) -> list[CheckResult]:
         passes["total-path-length"] = f"{log.total_path_edges} edges, bound {bound:.1f}"
         if log.total_path_edges > bound:
             fail("total-path-length", passes["total-path-length"])
-    # Ties may lead the two engines to different matchings, so per-arrival
-    # lengths are not comparable across engines; matched/unmatched is.
-    if [r.matched for r in log.records] != [r.matched for r in fast.log.records]:
-        fail("engine-outcome-parity")
 
     return [
         CheckResult(name, None, skips[name]) if name in skips

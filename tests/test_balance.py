@@ -31,6 +31,7 @@ from sapmatch import (
     max_flow,
     max_ratio,
     oracle_balanced_flow,
+    star_chain_probes,
 )
 from sapmatch.balance import DemandFlow, _fresh_flow, _peel, _peel_region
 from sapmatch.verify import expansion_tail_bound, shortest_tails
@@ -312,6 +313,84 @@ def assert_stream_matches(instance: ArrivalInstance) -> None:
         else:
             assert stream.peels == () and stream.max_necessity() == 0
         assert changed == tuple(s for s in sorted(before) if before[s] != stream.necessity[s])
+
+
+def shuffled_star_chain(depth: int, seed: int) -> ArrivalInstance:
+    """gen_star_chain(depth) with its gadgets, each kept whole, in a seeded order."""
+    base = gen_star_chain(depth)
+    gadgets, start = [], 0
+    for probe in star_chain_probes(depth):
+        gadgets.append([base.neighbors(c) for c in range(start, probe + 1)])
+        start = probe + 1
+    random.Random(seed).shuffle(gadgets)
+    return ArrivalInstance.build(base.server_count, [nbrs for gadget in gadgets for nbrs in gadget])
+
+
+class TestKeptPeels:
+    """The neighbor-slack test keeps a top peel only when no set holding the new client reaches it."""
+
+    def test_star_chains(self):
+        assert_stream_matches(gen_star_chain(24))
+        for seed in (3, 8):
+            assert_stream_matches(shuffled_star_chain(12, seed))
+
+    def test_slack_of_exactly_one_unit_re_peels(self):
+        # Peels before client 3: {0, 1} on server 0 at ratio 2, {2} on server 1
+        # at ratio 1.  Client 3 sees server 1 alone: 2 - 1 is exactly one unit
+        # of slack, and {0, 1, 2, 3} on servers {0, 1} reaches ratio 2.
+        inst = ArrivalInstance.build(3, [[0], [0], [1], [1]])
+        assert_stream_matches(inst)
+        stream = PrefixBalance(inst)
+        for c in range(3):
+            stream.add(c)
+        kept = stream.kept_peels
+        assert stream.add(3) == (1,)
+        assert stream.kept_peels == kept
+        assert [(p.ratio, p.clients, p.servers) for p in stream.peels] == [(2, {0, 1, 2, 3}, {0, 1})]
+
+    def test_slack_above_one_unit_keeps_the_peel(self):
+        # Client 3 also sees the unused server 2: (2 - 1) + (2 - 0) = 3 units of
+        # slack keep the top peel.  For the peel at ratio 1 what is left is
+        # (1 - 1) + (1 - 0), exactly one unit, and client 3 joins it at ratio 1.
+        inst = ArrivalInstance.build(3, [[0], [0], [1], [1, 2]])
+        assert_stream_matches(inst)
+        stream = PrefixBalance(inst)
+        for c in range(3):
+            stream.add(c)
+        top, kept = stream.peels[0], stream.kept_peels
+        assert stream.add(3) == (2,)
+        assert stream.kept_peels == kept + 1 and stream.peels[0] is top
+        assert [(p.ratio, p.clients, p.servers) for p in stream.peels] == [
+            (2, {0, 1}, {0}), (1, {2, 3}, {1, 2})
+        ]
+
+    def test_neighbor_in_a_kept_peel_leaves_the_region(self):
+        # Client 4 sees server 0 of the kept top peel (ratio 3), server 1 of
+        # the peel at ratio 1, and the unused server 2.  The test for that
+        # peel sums over servers 1 and 2 alone, and the re-peeled region holds
+        # no server of the kept peel, whose load would not fit ratio 1.
+        inst = ArrivalInstance.build(3, [[0], [0], [0], [1], [0, 1, 2]])
+        assert_stream_matches(inst)
+        stream = PrefixBalance(inst)
+        for c in range(4):
+            stream.add(c)
+        top, kept = stream.peels[0], stream.kept_peels
+        assert stream.add(4) == (2,)
+        assert stream.kept_peels == kept + 1 and stream.peels[0] is top
+        assert [(p.ratio, p.clients, p.servers) for p in stream.peels] == [
+            (3, {0, 1, 2}, {0}), (1, {3, 4}, {1, 2})
+        ]
+
+    def test_kept_peels_repeat_exactly(self):
+        def counts():
+            stream = PrefixBalance(gen_star_chain(24))
+            for c in range(stream.instance.client_count):
+                stream.add(c)
+            return stream.kept_peels, stream._flow.level_searches
+
+        first = counts()
+        assert first == counts()
+        assert first[0] > 0
 
 
 class TestPrefixBalance:

@@ -372,6 +372,17 @@ class _MiscountingEngine(SapEngine):
         return rec
 
 
+class _MisrecordingEngine(SapEngine):
+    """Logs one replacement too many for arrival 1, in its record and in the run total."""
+
+    def step(self, client):
+        rec = super().step(client)
+        if client == 1:
+            self.log.records[-1] = rec._replace(replacements=rec.replacements + 1)
+            self.log.total_replacements += 1
+        return rec
+
+
 class _MislabellingEngine(SapEngine):
     """Logs arrival 0 as unmatched, while reporting it matched to the caller."""
 
@@ -414,13 +425,16 @@ class TestVerifyFailures:
             (_off_by_one("hopcroft_karp_size"),
              {"matching-maximality": "after arrival 0: naive 1, fast 1, maximum 2"}),
             (lambda mp: mp.setattr(sapmatch.verify, "SapEngine", _MiscountingEngine),
-             {"replacement-accounting": ""}),
+             {"replacement-accounting":
+                  "after arrival 1: totals 2 replacements, 4 edges; records 1, 4"}),
+            (lambda mp: mp.setattr(sapmatch.verify, "SapEngine", _MisrecordingEngine),
+             {"replacement-accounting": "arrival 1: 2 replacements on 3 edges"}),
             (lambda mp: mp.setattr(sapmatch.verify, "LONG_PATH_FACTOR", 0),
              {"long-path-counts": "1 paths longer than 1, bound 0.00"}),
             (lambda mp: mp.setattr(sapmatch.verify, "TOTAL_LENGTH_FACTOR", 0),
              {"total-path-length": "5 edges, bound 0.0"}),
             (lambda mp: mp.setattr(sapmatch.verify, "SapEngine", _MislabellingEngine),
-             {"engine-outcome-parity": ""}),
+             {"engine-outcome-parity": "arrival 0: naive unmatched, fast matched"}),
             (_off_by_one("oracle_shortest_aug_path"),
              {"fast-oracle-parity": "arrival 0: engine 1, oracle 2"}),
             (lambda mp: mp.setattr(sapmatch.verify, "oracle_balanced_flow", lambda *a, **k: {}),
@@ -435,9 +449,9 @@ class TestVerifyFailures:
             (lambda mp: mp.setattr(sapmatch.verify, "expansion_tail_bound", lambda *a: -1),
              {"expansion-tails": "arrival 0: server 0 tail 2, bound -1"}),
         ],
-        ids=["maximality", "replacement-accounting", "long-path-counts", "total-path-length",
-             "outcome-parity", "oracle-parity", "necessity-oracle", "necessity-monotone",
-             "necessity-locality", "flow-invariants", "expansion-tails"],
+        ids=["maximality", "replacement-accounting", "replacement-record", "long-path-counts",
+             "total-path-length", "outcome-parity", "oracle-parity", "necessity-oracle",
+             "necessity-monotone", "necessity-locality", "flow-invariants", "expansion-tails"],
     )
     def test_first_failure_is_reported(self, breakage, failing, tmp_path, monkeypatch):
         path = tmp_path / "small.txt"
@@ -465,14 +479,14 @@ class TestVerifyFailures:
 
 
 class TestClosedStdout:
-    def test_reader_closing_the_pipe_exits_1_quietly(self):
+    @staticmethod
+    def assert_exits_1_quietly(*flags: str) -> None:
         src = str(Path(sapmatch.__file__).resolve().parents[1])
-        # Block-buffered, as stdout into a pipe is by default; 1.7 MB is far
-        # more than a pipe holds, so the writer is still writing when the
-        # reader closes its end.
+        # 1.7 MB is far more than a pipe holds, so the writer is still
+        # writing when the reader closes its end.
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         env["PYTHONPATH"] = src
-        argv = [sys.executable, "-m", "sapmatch.cli", "gen", "random", "--servers", "4",
+        argv = [sys.executable, *flags, "-m", "sapmatch.cli", "gen", "random", "--servers", "4",
                 "--clients", "100000", "--degree", "2"]
         with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                               env=env) as proc:
@@ -480,6 +494,16 @@ class TestClosedStdout:
             proc.stdout.close()
             assert proc.wait(timeout=120) == 1
             assert proc.stderr.read() == b""
+
+    def test_reader_closing_the_pipe_exits_1_quietly(self):
+        # Block-buffered, as stdout into a pipe is by default.
+        self.assert_exits_1_quietly()
+
+    def test_unbuffered_writer_does_not_drop_a_short_write(self):
+        # With -u the binary layer is the raw pipe, whose write may take part
+        # of the data; the rest must still be written, and so meet the
+        # closed pipe.
+        self.assert_exits_1_quietly("-u")
 
 
 class TestBench:

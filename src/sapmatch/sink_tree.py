@@ -9,10 +9,12 @@ Deletion repair runs in two stages.
 
 Stage 1 is the scan-and-raise of an Even-Shiloach tree (Even-Shiloach
 1981): a node whose supporting arc disappears rescans its out-arcs and, if
-its level rose, its children in the tree (kept as explicit sets) rescan in
-turn.  Most repairs end here after a scan or two.  But a level rises by at
-most one per scan, so a component cut off from the sink would climb to HIGH
-a level at a time, rescanning itself on every step.
+its level rose, its children in the tree rescan in turn.  No child sets are
+kept: a child of ``u`` has an arc into ``u``, so the children are the nodes
+of ``into[u]`` whose parent is ``u``, read off in the same pass that marks
+``into[u]`` dirty.  Most repairs end here after a scan or two.  But a level
+rises by at most one per scan, so a component cut off from the sink would
+climb to HIGH a level at a time, rescanning itself on every step.
 
 The switch is a ski-rental rule with no knob: once a repair has made as many
 rescans as first scans, it hands every node still queued to stage 2.  So
@@ -30,8 +32,10 @@ candidates in increasing level, starting from the queued nodes:
   become candidates at ``k + 1``.  A node that never becomes a candidate has
   an unaffected parent one level lower, so its level is already exact.
 - each affected node gets a first bound from its arcs that leave the set;
-  a bucket queue over the levels up to ``high`` settles the set, relaxing
-  along in-arcs inside it and keeping the (level, index) argmin as parent.
+  a bucket queue over the finite levels settles the set, relaxing along
+  in-arcs inside it and keeping the (level, index) argmin as parent.  A
+  distance counts the arcs of a simple path, so it stays below the node
+  count, which bounds the buckets however large ``depth_limit`` is.
 
 Stage 2 scans the out-arcs of each candidate once, and those of each
 affected node once more along with its in-arcs, however far it rises.  The
@@ -67,7 +71,7 @@ what a repair chose to rescan, so a repair that skips nodes is caught.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from typing import Iterable
 
 from .errors import InvariantViolation
@@ -80,11 +84,8 @@ class SinkDistanceTree:
     most ``depth_limit``; the sentinel value ``high`` (= depth_limit + 1)
     means "further than the limit".  Levels never decrease over the life of
     the structure; a violation of that contract raises InvariantViolation.
-    ``children[v]`` is the set of nodes whose parent is ``v``; a node holds a
-    set only while it has children, so leaves cost no memory.  The sink's
-    children are not kept: the sink never rises and is never removed, so no
-    repair reads them, and no arc that would give the sink a new child can
-    pass the no-shortening check.
+    ``parent[v]`` is the only record of the tree: the children of ``v`` are
+    the nodes of ``into[v]`` whose parent is ``v``.
     """
 
     def __init__(
@@ -111,7 +112,6 @@ class SinkDistanceTree:
             self.into[v].add(u)
         self.level = [self.high] * node_count
         self.parent: list[int | None] = [None] * node_count
-        self.children: defaultdict[int, set[int]] = defaultdict(set)
         self.level[sink] = 0
         self._init_levels()
         # Nodes whose Bellman condition may have changed since validate_local.
@@ -135,8 +135,6 @@ class SinkDistanceTree:
                 if self.level[u] > self.level[v] + 1:
                     self.level[u] = self.level[v] + 1
                     self.parent[u] = v
-                    if v != self.sink:
-                        self.children[v].add(u)
                     queue.append(u)
 
     def has_arc(self, u: int, v: int) -> bool:
@@ -149,13 +147,13 @@ class SinkDistanceTree:
             raise ValueError("cannot attach arcs to a removed node")
         if v in self.out[u]:
             raise ValueError("arc already present")
-        self.out[u].add(v)
-        self.into[v].add(u)
         if self.level[v] + 1 < self.level[u]:
             raise InvariantViolation(
                 f"arc ({u},{v}) would shorten the distance of {u}; "
                 "insertions must never decrease distances"
             )
+        self.out[u].add(v)
+        self.into[v].add(u)
 
     def delete_arc(self, u: int, v: int) -> None:
         if v not in self.out[u]:
@@ -173,6 +171,8 @@ class SinkDistanceTree:
             raise ValueError("node already removed")
         self.dirty.add(v)
         self.dirty.update(self.into[v])
+        # Every child of v loses its parent arc; each moves to a new parent.
+        kids = tuple(u for u in self.into[v] if self.parent[u] == v)
         for u in self.into[v]:
             self.out[u].discard(v)
         for w in self.out[v]:
@@ -181,20 +181,12 @@ class SinkDistanceTree:
         self.into[v].clear()
         self.deleted.add(v)
         self.level[v] = self.high
-        p = self.parent[v]
-        if p is not None:
-            siblings = self.children[p]
-            siblings.discard(v)
-            if not siblings:
-                del self.children[p]
-            self.parent[v] = None
-        kids = self.children.get(v)
+        self.parent[v] = None
         if kids:
-            # Every child of v lost its parent arc; each moves to a new parent.
-            self._repair(tuple(kids))
+            self._repair(kids)
 
     def _repair(self, seeds: tuple[int, ...]) -> None:
-        level, parent, children, out, dirty = self.level, self.parent, self.children, self.out, self.dirty
+        level, parent, out, into, dirty = self.level, self.parent, self.out, self.into, self.dirty
         high = self.high
         dirty.update(seeds)
         # queue[:i] are the scans made so far, queue[i:] the ones to come.
@@ -222,22 +214,13 @@ class SinkDistanceTree:
             current = level[u]
             if best < current:
                 raise InvariantViolation(f"level of node {u} tried to decrease")
-            old = parent[u]
-            if support != old:
-                if old is not None:
-                    kids = children[old]
-                    kids.discard(u)
-                    if not kids:
-                        del children[old]
-                if support is not None:
-                    children[support].add(u)
-                parent[u] = support
+            parent[u] = support
             if best > current:
                 level[u] = best
-                dirty.update(self.into[u])
-                kids = children.get(u)
-                if kids:
-                    queue.extend(kids)
+                for x in into[u]:
+                    dirty.add(x)
+                    if parent[x] == u:
+                        queue.append(x)
             if i == check_at and i < len(queue):
                 if seen is None:
                     seen = set(queue[:i])
@@ -259,25 +242,29 @@ class SinkDistanceTree:
         condition, every level is at most the node's true distance, and no
         arc drops more than one level.
         """
-        level, parent, children, out, into, dirty = (
-            self.level, self.parent, self.children, self.out, self.into, self.dirty
-        )
+        level, parent, out, into, dirty = self.level, self.parent, self.out, self.into, self.dirty
         high = self.high
+        # No distance reaches the node count, so the buckets stop at top.  A
+        # stage-1 climb can leave a cut-off node at any level below high:
+        # the last bucket takes every candidate at top or above.  Each is cut
+        # off, as is all it supports, so none finds support there (an
+        # unaffected node at top - 1 would lie on a path through every node).
+        top = min(high, self.node_count)
         scans = 0
         # (a) The affected set, in increasing level: a candidate at level k is
         # affected iff no unaffected out-neighbour sits at level k - 1.
-        buckets: list[list[int]] = [[] for _ in range(high + 1)]
+        buckets: list[list[int]] = [[] for _ in range(top + 1)]
         candidates: set[int] = set()
         for u in queued:
             if u not in candidates and level[u] < high:
                 candidates.add(u)
-                buckets[level[u]].append(u)
+                buckets[min(level[u], top)].append(u)
         # Final level and parent of each candidate: (a) fills in the
         # unaffected ones, (b) the affected ones.
         dist: dict[int, int] = {}
         via: dict[int, int | None] = {}
         affected: set[int] = set()
-        for k in range(1, high):
+        for k in range(1, top + 1):
             for u in buckets[k]:
                 scans += 1
                 support = None
@@ -286,19 +273,17 @@ class SinkDistanceTree:
                         support = w
                 if support is None:
                     affected.add(u)
-                    kids = children.get(u)
-                    if kids:
-                        for c in kids:
-                            if c not in candidates:
-                                candidates.add(c)
-                                buckets[k + 1].append(c)
+                    for c in into[u]:
+                        if parent[c] == u and c not in candidates:
+                            candidates.add(c)
+                            buckets[min(k + 1, top)].append(c)
                 else:
                     dist[u] = k
                     via[u] = support
         # (b) First bounds from the arcs that leave the set, then a bucket
         # queue that relaxes along in-arcs inside it.  (level, index) order
         # picks the parent, as a scan does.
-        buckets = [[] for _ in range(high + 1)]
+        buckets = [[] for _ in range(top)]
         for u in affected:
             scans += 1
             best, support = high, None
@@ -309,8 +294,9 @@ class SinkDistanceTree:
                         best, support = candidate, w
             dist[u] = best
             via[u] = support
-            buckets[best].append(u)
-        for k in range(1, high - 1):
+            if best < top:
+                buckets[best].append(u)
+        for k in range(1, top - 1):
             for u in buckets[k]:
                 if dist[u] != k:
                     continue
@@ -326,20 +312,10 @@ class SinkDistanceTree:
         # (c) Write the result back, marking the in-neighbours of every node
         # that rose as stage 1 does; every affected node rises.
         for u, best in dist.items():
-            support = via[u]
             current = level[u]
             if best < current:
                 raise InvariantViolation(f"level of node {u} tried to decrease")
-            old = parent[u]
-            if support != old:
-                if old is not None:
-                    kids = children[old]
-                    kids.discard(u)
-                    if not kids:
-                        del children[old]
-                if support is not None:
-                    children[support].add(u)
-                parent[u] = support
+            parent[u] = via[u]
             if best > current:
                 level[u] = best
                 dirty.update(into[u])
@@ -368,8 +344,8 @@ class SinkDistanceTree:
         truncated BFS; see the module docstring for why passing then proves
         the tree still equals one.
         """
-        level, parent, children, out = self.level, self.parent, self.children, self.out
-        high, sink, deleted = self.high, self.sink, self.deleted
+        level, parent, out = self.level, self.parent, self.out
+        high, deleted = self.high, self.deleted
         level_of = level.__getitem__
         for v in self.dirty:
             lv = level[v]
@@ -377,14 +353,9 @@ class SinkDistanceTree:
             below = min(map(level_of, out_v)) if out_v else high
             p = parent[v]
             if lv < high:
-                # The sink's children are not kept (see the class docstring).
-                good = lv == below + 1 and p in out_v and level[p] == below and (
-                    p == sink or v in children.get(p, ())
-                )
+                good = lv == below + 1 and p in out_v and level[p] == below
             else:
-                good = below + 1 >= high and p is None and (
-                    v not in deleted or not (out_v or self.into[v] or v in children)
-                )
+                good = below + 1 >= high and p is None and (v not in deleted or not (out_v or self.into[v]))
             if not good:
                 raise InvariantViolation(
                     f"node {v} breaks the Bellman condition: level {lv}, parent {p}, "
@@ -393,7 +364,7 @@ class SinkDistanceTree:
         self.dirty.clear()
 
     def validate_against_bfs(self) -> None:
-        """Check every level, parent pointer and child set against a fresh truncated BFS."""
+        """Check every level and parent pointer against a fresh truncated BFS."""
         dist = {self.sink: 0}
         queue = deque([self.sink])
         while queue:
@@ -404,10 +375,6 @@ class SinkDistanceTree:
                 if u not in dist and u not in self.deleted:
                     dist[u] = dist[v] + 1
                     queue.append(u)
-        for v, kids in self.children.items():
-            for c in kids:
-                if self.parent[c] != v:
-                    raise InvariantViolation(f"node {c} is listed as a child of {v} but its parent differs")
         for v in range(self.node_count):
             if v == self.sink:
                 continue
@@ -427,5 +394,3 @@ class SinkDistanceTree:
             else:
                 if p is None or p not in self.out[v] or self.level[p] != self.level[v] - 1:
                     raise InvariantViolation(f"node {v} has an inconsistent parent pointer")
-                if p != self.sink and v not in self.children.get(p, ()):
-                    raise InvariantViolation(f"node {v} is missing from the children of its parent {p}")

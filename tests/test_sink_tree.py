@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import random
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -26,11 +27,16 @@ class ScanAndRaiseTree(SinkDistanceTree):
     """The reference repair: Even-Shiloach scan-and-raise until nothing changes.
 
     Every node climbs one level per scan, however far it has to go.  Written
-    out in full so that it shares no code with the repair under test.
+    out in full so that it shares no code with the repair under test, and it
+    finds a node's children by a full scan of ``parent`` rather than off the
+    node's in-arcs.
     """
 
+    def children(self, u):
+        return [x for x in range(self.node_count) if self.parent[x] == u]
+
     def _repair(self, seeds):
-        level, parent, children, out, dirty = self.level, self.parent, self.children, self.out, self.dirty
+        level, parent, out, dirty = self.level, self.parent, self.out, self.dirty
         high = self.high
         dirty.update(seeds)
         queue = deque(seeds)
@@ -49,22 +55,11 @@ class ScanAndRaiseTree(SinkDistanceTree):
             current = level[u]
             if best < current:
                 raise InvariantViolation(f"level of node {u} tried to decrease")
-            old = parent[u]
-            if support != old:
-                if old is not None:
-                    kids = children[old]
-                    kids.discard(u)
-                    if not kids:
-                        del children[old]
-                if support is not None:
-                    children[support].add(u)
-                parent[u] = support
+            parent[u] = support
             if best > current:
                 level[u] = best
                 dirty.update(self.into[u])
-                kids = children.get(u)
-                if kids:
-                    queue.extend(kids)
+                queue.extend(self.children(u))
 
 
 def build_random_digraph(rng: random.Random, nodes: int, sink: int, density: float):
@@ -122,6 +117,9 @@ class TestArcOps:
         assert tree.level[0] == 2
         with pytest.raises(InvariantViolation):
             tree.insert_arc(0, 2)
+        # The rejected arc is not left behind.
+        assert not tree.has_arc(0, 2) and 0 not in tree.into[2]
+        tree.validate_against_bfs()
 
     def test_harmless_insert_keeps_levels(self):
         tree = SinkDistanceTree(4, 3, 3, arcs=[(0, 3), (1, 3), (2, 0)])
@@ -187,17 +185,33 @@ def test_path_to_sink_matches_level():
         SinkDistanceTree(3, 2, 1, arcs=[(0, 1), (1, 2)]).path_to_sink(0)
 
 
+class NoCascadeTree(ScanAndRaiseTree):
+    """A broken repair: it never rescans the children of a node that rose."""
+
+    def children(self, u):
+        return []
+
+
 class TestLocalCheck:
     def test_repair_that_skips_children_is_caught(self):
         # 0 -> 1 -> sink and 0 -> 2 -> 3 -> sink: deleting 1's sink arc must
-        # lift 0 from level 2 to 3.  With the child sets hidden, the repair
-        # never reaches 0, but 0 is an in-neighbour of the risen node 1.
-        tree = SinkDistanceTree(5, 4, 4, arcs=[(0, 1), (1, 4), (0, 2), (2, 3), (3, 4)])
-        tree.children.clear()
+        # lift 0 from level 2 to 3.  A repair that skips children never
+        # reaches 0, but 0 is an in-neighbour of the risen node 1.
+        tree = NoCascadeTree(5, 4, 4, arcs=[(0, 1), (1, 4), (0, 2), (2, 3), (3, 4)])
         tree.delete_arc(1, 4)
         assert 0 in tree.dirty
         with pytest.raises(InvariantViolation):
             tree.validate_local()
+
+    def test_another_shortest_path_parent_passes(self):
+        # Node 0 reaches the sink through 1 or 2 alike.  Parents are the one
+        # record of the tree, so swapping 0's parent gives another valid tree.
+        tree = SinkDistanceTree(5, 4, 4, arcs=[(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+        tree.delete_node(3)
+        assert tree.dirty == {0, 3} and tree.parent[0] == 1
+        tree.parent[0] = 2
+        tree.validate_local()
+        tree.validate_against_bfs()
 
     def test_clean_tree_has_nothing_to_check(self):
         tree = SinkDistanceTree(4, 3, 3, arcs=[(0, 1), (1, 3), (2, 3)])
@@ -214,7 +228,9 @@ class SinkTreeMachine(RuleBasedStateMachine):
     new (its level, parent, removal, or truncated best out-neighbour level)
     must be marked dirty; the local check must pass, and so must the full
     BFS check.  A copy with the level or the parent of one node the update
-    touched corrupted must fail both.
+    touched corrupted must fail both, unless the new parent is another
+    out-neighbour one level lower: that copy is another shortest-path tree,
+    and both must pass it.
     """
 
     max_nodes = 9
@@ -289,10 +305,15 @@ class SinkTreeMachine(RuleBasedStateMachine):
                 parents = st.sampled_from([None, *range(tree.node_count)])
                 parents = parents.filter(lambda p: p != tree.parent[v])
                 broken.parent[v] = data.draw(parents, label="new parent")
-            with pytest.raises(InvariantViolation):
+            p = broken.parent[v]
+            if broken.level[v] < tree.high and p in tree.out[v] and tree.level[p] + 1 == broken.level[v]:
                 broken.validate_local()
-            with pytest.raises(InvariantViolation):
                 broken.validate_against_bfs()
+            else:
+                with pytest.raises(InvariantViolation):
+                    broken.validate_local()
+                with pytest.raises(InvariantViolation):
+                    broken.validate_against_bfs()
         tree.validate_local()
         assert not tree.dirty
         tree.validate_against_bfs()
@@ -317,11 +338,11 @@ class SettleOnlyTree(SinkDistanceTree):
 class TwinTreeMachine(SinkTreeMachine):
     """The machine above, shadowed by the reference repair and by a settle-only tree.
 
-    After every update all three agree on levels, parents, children and
-    marked nodes.  Deeper limits, larger graphs and a rule that always
-    deletes a parent arc give repairs room to climb.  At these sizes a repair
-    seldom gets far enough to switch to its settle, so it is the settle-only
-    tree that tests the settle here.
+    After every update all three agree on levels, parents and marked nodes.
+    Deeper limits, larger graphs and a rule that always deletes a parent arc
+    give repairs room to climb.  At these sizes a repair seldom gets far
+    enough to switch to its settle, so it is the settle-only tree that tests
+    the settle here.
     """
 
     max_nodes = 12
@@ -354,7 +375,6 @@ class TwinTreeMachine(SinkTreeMachine):
         for tree in (self.tree, self.settle_only):
             assert tree.level == reference.level
             assert tree.parent == reference.parent
-            assert dict(tree.children) == dict(reference.children)
             assert tree.dirty == reference.dirty
         assert self.tree.repair_scans <= 2 * reference.repair_scans
         reference.validate_local()
@@ -401,7 +421,6 @@ def test_cut_off_cycle_settles_in_one_pass(arcs, settled, parents, scans):
         assert tree.parent[: len(parents)] == parents
         tree.validate_against_bfs()
         assert tree.level == reference.level and tree.parent == reference.parent
-        assert dict(tree.children) == dict(reference.children)
         assert tree.dirty == reference.dirty
         tree.validate_local()
         # However far the cycle has to climb, the repair costs the same.
@@ -411,52 +430,100 @@ def test_cut_off_cycle_settles_in_one_pass(arcs, settled, parents, scans):
     assert scans < 20 <= reference_scans[0] and 200 <= reference_scans[1]
 
 
-@pytest.mark.parametrize("tree_type", [SinkDistanceTree, SettleOnlyTree])
-def test_random_updates_match_reference(tree_type):
-    """Random contract-respecting updates on sparse digraphs, checked after each one.
+def sparse_digraph(rng: random.Random, nodes: int, sink: int):
+    arcs = {
+        (u, rng.randrange(nodes - 1) if rng.random() < 0.9 else sink)
+        for u in range(nodes - 1)
+        for _ in range(rng.randint(1, 3))
+    }
+    return {(u, v) for u, v in arcs if u != v}
+
+
+def random_update(rng: random.Random, tree: SinkDistanceTree):
+    """A random update within the no-shortening contract, or None.
 
     Half the insertions add an arc one level down, so that parents are not
     always the smallest-index choice a fresh scan would make.
     """
+    live = [v for v in range(tree.node_count) if v not in tree.deleted]
+    draw = rng.random()
+    if draw < 0.1 and len(live) > 1:
+        return ("delete_node", rng.choice([v for v in live if v != tree.sink]))
+    if draw < 0.6:
+        present = [(u, v) for u in live for v in sorted(tree.out[u])]
+        return ("delete_arc", *rng.choice(present)) if present else None
+    u, v = rng.choice(live), rng.choice(live)
+    if rng.random() < 0.5:
+        v = rng.choice([w for w in live if tree.level[w] + 1 == tree.level[u]] or [v])
+    if u == tree.sink or u == v or v in tree.out[u] or tree.level[v] + 1 < tree.level[u]:
+        return None
+    return ("insert_arc", u, v)
+
+
+@pytest.mark.parametrize("tree_type", [SinkDistanceTree, SettleOnlyTree])
+def test_random_updates_match_reference(tree_type):
+    """Random contract-respecting updates on sparse digraphs, checked after each one."""
     rng = random.Random(29)
     for _ in range(300):
         nodes = rng.randint(6, 40)
         sink = nodes - 1
-        arcs = {
-            (u, rng.randrange(nodes - 1) if rng.random() < 0.9 else sink)
-            for u in range(nodes - 1)
-            for _ in range(rng.randint(1, 3))
-        }
-        arcs = {(u, v) for u, v in arcs if u != v}
+        arcs = sparse_digraph(rng, nodes, sink)
         limit = rng.randint(3, 25)
         tree = tree_type(nodes, sink, limit, arcs)
         reference = ScanAndRaiseTree(nodes, sink, limit, arcs)
         for _ in range(3 * nodes):
-            live = [v for v in range(nodes) if v not in tree.deleted]
-            draw = rng.random()
-            if draw < 0.1 and len(live) > 1:
-                update = ("delete_node", rng.choice([v for v in live if v != sink]))
-            elif draw < 0.6:
-                present = [(u, v) for u in live for v in sorted(tree.out[u])]
-                if not present:
-                    continue
-                update = ("delete_arc", *rng.choice(present))
-            else:
-                u, v = rng.choice(live), rng.choice(live)
-                if rng.random() < 0.5:
-                    v = rng.choice([w for w in live if tree.level[w] + 1 == tree.level[u]] or [v])
-                if u == sink or u == v or v in tree.out[u] or tree.level[v] + 1 < tree.level[u]:
-                    continue
-                update = ("insert_arc", u, v)
+            update = random_update(rng, tree)
+            if update is None:
+                continue
             for t in (tree, reference):
                 getattr(t, update[0])(*update[1:])
             assert tree.level == reference.level, update
             assert tree.parent == reference.parent, update
-            assert dict(tree.children) == dict(reference.children), update
             assert tree.dirty == reference.dirty, update
             tree.validate_local()
             reference.validate_local()
         tree.validate_against_bfs()
+
+
+@pytest.mark.parametrize("tree_type", [SinkDistanceTree, SettleOnlyTree])
+def test_settle_cost_ignores_the_depth_limit(tree_type):
+    """A depth limit far past the node count changes no level or parent, and costs no memory.
+
+    With a limit of the node count minus one nothing is cut off by depth, so
+    the two trees must agree once HIGH is read as HIGH.  A settle whose
+    buckets grew with the limit would allocate tens of megabytes per update.
+    """
+    def build(nodes, arcs):
+        return tree_type(nodes, nodes - 1, nodes - 1, arcs), tree_type(nodes, nodes - 1, 10**6, arcs)
+
+    def reached(tree):
+        return [None if x == tree.high else x for x in tree.level]
+
+    def apply(unlimited, huge, update):
+        getattr(unlimited, update[0])(*update[1:])
+        tracemalloc.start()
+        getattr(huge, update[0])(*update[1:])
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 100_000, update
+        assert reached(huge) == reached(unlimited), update
+        assert huge.parent == unlimited.parent, update
+        huge.validate_local()
+
+    # A ring through every node but the sink, hung off it by 0 -> sink.  Cut
+    # off, it climbs past the node count before the repair settles.
+    unlimited, huge = build(12, [(0, SINK), (0, SINK - 1)] + [(v, v - 1) for v in range(1, SINK)])
+    apply(unlimited, huge, ("delete_arc", 0, SINK))
+    assert reached(huge) == [None] * SINK + [0]
+    rng = random.Random(31)
+    for _ in range(60):
+        nodes = rng.randint(6, 30)
+        unlimited, huge = build(nodes, sparse_digraph(rng, nodes, nodes - 1))
+        for _ in range(3 * nodes):
+            update = random_update(rng, unlimited)
+            if update is not None:
+                apply(unlimited, huge, update)
+        huge.validate_against_bfs()
 
 
 class TestEngineWithReferenceRepair:

@@ -130,7 +130,7 @@ class FastSapEngine(SapEngine):
                 return log.record(client, None)
             log.brute_paths += 1
             nodes = [v + n if i % 2 else v for i, v in enumerate(path.vertices)]
-        flip_path(self.state, path)
+        flip_path(self.state, path, self.instance.arrivals)
         # Reverse the path arcs starting next to the client; the dummy arc of
         # the terminal server goes last, once that server is matched.
         for u, v in zip(nodes, nodes[1:]):

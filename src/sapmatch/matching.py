@@ -22,6 +22,15 @@ server enters the search once, so each client is reached exactly once, with
 its server; and a frontier client's own server was reached before it (the
 root has none), so it needs no test of its own.  The clients a failed search
 reached are therefore the root plus the clients of every server it reached.
+
+The first layer needs no predecessor map.  The root's live neighbors are
+scanned once, in their ascending tuple order, so the first one with spare
+capacity is the smallest free index of the first layer, the server the full
+search would pick, and the path is that one edge.  Every live neighbor
+still counts toward ``servers_visited``, as the full search would reach
+them all.  With no live neighbor the search fails having reached nothing.
+Only when all of them are full are they recorded as reached from the root,
+and the search goes on from their clients.
 """
 
 from __future__ import annotations
@@ -176,24 +185,40 @@ class MatchState:
                 raise InvariantViolation(f"client list of server {s} is not sorted")
 
 
-def flip_path(state: MatchState, path: AugPath) -> int:
+def flip_path(state: MatchState, path: AugPath, arrivals: Sequence[tuple[int, Sequence[int]]]) -> int:
     """Apply an augmenting path to the matching; returns the replacement count.
 
-    Validates the path against the current state first, so a stale path (one
-    whose edges no longer alternate unmatched/matched) is rejected rather
-    than corrupting the matching.
+    ``arrivals`` is the instance's: client ``c``'s neighbors are
+    ``arrivals[c][1]``.  One pass checks the whole path against the current
+    state before anything changes, so a stale path (one whose edges no
+    longer alternate unmatched/matched) is rejected rather than corrupting
+    the matching.  An absent edge anywhere is reported first; otherwise the
+    first fault along the path (a start that is matched or has not arrived,
+    then each server's edges in and out), and last a full terminal server.
     """
     verts = path.vertices
     server_of_client, clients_of_server = state.server_of_client, state.clients_of_server
-    start = verts[0]
-    if start >= state.arrived_count or server_of_client[start] is not None:
-        raise ValueError("path must start at an arrived, unmatched client")
-    for i in range(1, len(verts), 2):
-        server = verts[i]
-        if server_of_client[verts[i - 1]] == server:
-            raise ValueError("stale path: expected an unmatched edge into the server")
-        if i + 1 < len(verts) and server_of_client[verts[i + 1]] != server:
-            raise ValueError("stale path: expected a matched edge out of the server")
+    arrived, known = state.arrived_count, len(arrivals)
+    # The first edge is checked apart, as most paths have no other, and an
+    # unmatched start has no matched edge into its server to fault.
+    start, first = verts[0], verts[1]
+    if start >= known or first not in arrivals[start][1]:
+        raise ValueError(f"path uses the absent edge ({start},{first})")
+    fault: Optional[str] = None
+    if start >= arrived or server_of_client[start] is not None:
+        fault = "path must start at an arrived, unmatched client"
+    for i in range(2, len(verts), 2):
+        client, server = verts[i], verts[i + 1]
+        if client >= known or server not in arrivals[client][1]:
+            raise ValueError(f"path uses the absent edge ({client},{server})")
+        if fault is None:
+            own = server_of_client[client] if client < arrived else None
+            if own != verts[i - 1]:
+                fault = "stale path: expected a matched edge out of the server"
+            elif own == server:
+                fault = "stale path: expected an unmatched edge into the server"
+    if fault is not None:
+        raise ValueError(fault)
     terminal = verts[-1]
     if len(clients_of_server[terminal]) >= state.capacity[terminal]:
         raise ValueError("stale path: terminal server has no spare capacity")
@@ -278,14 +303,38 @@ class SapEngine:
         arrivals = self.instance.arrivals
         clients_of_server, capacity = state.clients_of_server, state.capacity
         dead = self.dead if self.dead is not None else ()
-        via: dict[int, int] = {}  # server -> the first client to reach it
-        frontier = [client]
+        # Layer 1, the root's live neighbors, ascending: the first free one
+        # ends the search before any predecessor is recorded, and with none
+        # the search reaches nothing.
+        layer = arrivals[client][1]
+        if dead:
+            live = []
+            for s in layer:
+                if s not in dead:
+                    live.append(s)
+            layer = live
+        for s in layer:
+            if len(clients_of_server[s]) < capacity[s]:
+                self.servers_visited += len(layer)
+                return AugPath((client, s))
+        if not layer:
+            if self.dead is not None:
+                self._retire(client, {})
+            return None
+        via = dict.fromkeys(layer, client)  # server -> the first client to reach it
+        new_servers = layer
         target: Optional[int] = None
-        while frontier:
+        while True:
+            # every matched client sits on one server, reached once: no duplicates
+            frontier: list[int] = []
+            for s in new_servers:
+                frontier += clients_of_server[s]
+            if not frontier:
+                break
+            frontier.sort()  # so the first client to reach a server is the smallest
             new_servers, free = [], []
             for c in frontier:
-                # c's own server is already in via (the root has none)
-                for s in arrivals[c][1]:
+                for s in arrivals[c][1]:  # c's own server is already in via
                     if s not in via and s not in dead:
                         via[s] = c
                         new_servers.append(s)
@@ -294,11 +343,6 @@ class SapEngine:
             if free:
                 target = min(free)
                 break
-            # every matched client sits on one server, reached once: no duplicates
-            frontier = []
-            for s in new_servers:
-                frontier += clients_of_server[s]
-            frontier.sort()  # so the first client to reach a server is the smallest
         self.servers_visited += len(via)
         if target is None:
             if self.dead is not None:
@@ -317,12 +361,7 @@ class SapEngine:
         self.dead.update(servers)
 
     def augment(self, path: AugPath) -> int:
-        verts = path.vertices
-        arrivals = self.instance.arrivals
-        for i in range(0, len(verts) - 1, 2):
-            if verts[i + 1] not in arrivals[verts[i]][1]:
-                raise ValueError(f"path uses the absent edge ({verts[i]},{verts[i + 1]})")
-        return flip_path(self.state, path)
+        return flip_path(self.state, path, self.instance.arrivals)
 
     def step(self, client: int) -> ArrivalRecord:
         """Process one arrival end to end and log it."""

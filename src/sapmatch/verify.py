@@ -33,6 +33,7 @@ CHECKS = (
     "long-path-counts",
     "total-path-length",
     "engine-outcome-parity",
+    "naive-oracle-parity",
     "fast-oracle-parity",
     "necessity-vs-oracle",
     "necessity-monotone",
@@ -117,10 +118,10 @@ def verify_instance(instance: ArrivalInstance) -> list[CheckResult]:
     """The full battery for one unit-capacity instance, from one stepped run per engine.
 
     After every arrival both matchings must be maximum (phased-search
-    oracle), the fast engine's path length must match a fresh snapshot
-    search, and the naive engine's state feeds the flow checks.  A check
-    is skipped where ``skips`` names it, else it passes unless ``fail``
-    recorded a failure, and then it reports the first.
+    oracle), each engine's path length must match a fresh search of its
+    own pre-arrival snapshot, and the naive engine's state feeds the flow
+    checks.  A check is skipped where ``skips`` names it, else it passes
+    unless ``fail`` recorded a failure, and then it reports the first.
     """
     if not instance.has_unit_capacities():
         raise ValueError("verification replays expect unit capacities")
@@ -133,7 +134,7 @@ def verify_instance(instance: ArrivalInstance) -> list[CheckResult]:
     # comparison with the enumeration oracle needs few clients.
     isolated = any(not nbrs for _, nbrs in instance.arrivals)
     if isolated:
-        skips.update(dict.fromkeys(CHECKS[6:], "instance has a client with no neighbors"))
+        skips.update(dict.fromkeys(CHECKS[-5:], "instance has a client with no neighbors"))
     elif n > ORACLE_CLIENT_LIMIT:
         skips["necessity-vs-oracle"] = (
             f"more than {ORACLE_CLIENT_LIMIT} clients for the enumeration oracle"
@@ -150,7 +151,8 @@ def verify_instance(instance: ArrivalInstance) -> list[CheckResult]:
     effective_adjacency: dict[int, tuple[int, ...]] = {}
     previous = {s: Fraction(0) for s in range(servers)}
     for c in range(n):
-        snapshot = fast.state.server_of_client + [None]
+        snapshot = naive.state.server_of_client + [None]
+        fast_snapshot = fast.state.server_of_client + [None]
         rec, fast_rec = naive.step(c), fast.step(c)
         size_naive += rec.matched
         size_fast += fast_rec.matched
@@ -158,10 +160,13 @@ def verify_instance(instance: ArrivalInstance) -> list[CheckResult]:
         if size_naive != want or size_fast != want:
             fail("matching-maximality",
                  f"after arrival {c}: naive {size_naive}, fast {size_fast}, maximum {want}")
+        logged = naive.log.records[-1]
         want = oracle_shortest_aug_path(neighbors, snapshot, [1] * servers, c)
+        if logged.path_edges != want:
+            fail("naive-oracle-parity", f"arrival {c}: engine {logged.path_edges}, oracle {want}")
+        want = oracle_shortest_aug_path(neighbors, fast_snapshot, [1] * servers, c)
         if fast_rec.path_edges != want:
             fail("fast-oracle-parity", f"arrival {c}: engine {fast_rec.path_edges}, oracle {want}")
-        logged = naive.log.records[-1]
         replaced += logged.replacements
         walked += logged.path_edges or 0
         if logged.matched and logged.replacements != (logged.path_edges - 1) // 2:

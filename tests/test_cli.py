@@ -21,6 +21,7 @@ import sapmatch.matching
 import sapmatch.verify
 from sapmatch import (
     ArrivalInstance,
+    AugPath,
     BalancedFlow,
     InvariantViolation,
     PrefixBalance,
@@ -309,7 +310,7 @@ class TestVerify:
 
         monkeypatch.setattr(sapmatch.matching.SapEngine, "__init__", counted)
         results = verify_instance(gen_random(5, 10, 2, seed=101))
-        assert len(results) == 11 and all(r.passed for r in results)
+        assert len(results) == 12 and all(r.passed for r in results)
         assert built == ["SapEngine", "FastSapEngine"]
 
     def test_flow_checks_run_above_the_oracle_limit(self):
@@ -332,6 +333,7 @@ CHECKS = (
     "long-path-counts",
     "total-path-length",
     "engine-outcome-parity",
+    "naive-oracle-parity",
     "fast-oracle-parity",
     "necessity-vs-oracle",
     "necessity-monotone",
@@ -393,6 +395,19 @@ class _MislabellingEngine(SapEngine):
         return rec
 
 
+# Client 0 takes server 0; client 1 has the free server 2, or a detour
+# through server 0 that moves client 0 to server 1.
+DETOUR = "servers 3\nclient 0 0 1\nclient 1 0 2\n"
+
+
+class _DetouringEngine(SapEngine):
+    """Takes the 3-edge detour of ``DETOUR``'s arrival 1 over the 1-edge path."""
+
+    def shortest_aug_path(self, client):
+        path = super().shortest_aug_path(client)
+        return AugPath((1, 0, 0, 1)) if client == 1 else path
+
+
 def _off_by_one(name):
     """Make ``sapmatch.verify.<name>`` answer one more than it should, where it answers."""
     def patch(monkeypatch):
@@ -436,7 +451,8 @@ class TestVerifyFailures:
             (lambda mp: mp.setattr(sapmatch.verify, "SapEngine", _MislabellingEngine),
              {"engine-outcome-parity": "arrival 0: naive unmatched, fast matched"}),
             (_off_by_one("oracle_shortest_aug_path"),
-             {"fast-oracle-parity": "arrival 0: engine 1, oracle 2"}),
+             {"naive-oracle-parity": "arrival 0: engine 1, oracle 2",
+              "fast-oracle-parity": "arrival 0: engine 1, oracle 2"}),
             (lambda mp: mp.setattr(sapmatch.verify, "oracle_balanced_flow", lambda *a, **k: {}),
              {"necessity-vs-oracle": "arrival 0: maps differ"}),
             (lambda mp: _server_3_necessity(mp, Fraction(1), range(1, 2)),
@@ -467,6 +483,21 @@ class TestVerifyFailures:
             else:
                 assert line.startswith(f"PASS {path}: {name}")
         assert lines[-1] == f"FAIL overall: {len(failing)} failing checks"
+        assert (code, err) == (1, "")
+
+    def test_naive_path_longer_than_the_oracle(self, tmp_path, monkeypatch):
+        path = tmp_path / "detour.txt"
+        path.write_text(DETOUR)
+        monkeypatch.setattr(sapmatch.verify, "SapEngine", _DetouringEngine)
+        code, out, err = run_cli("verify", str(path))
+        lines = out.splitlines()
+        assert len(lines) == len(CHECKS) + 1
+        for name, line in zip(CHECKS, lines):
+            if name == "naive-oracle-parity":
+                assert line == f"FAIL {path}: {name} (arrival 1: engine 3, oracle 1)"
+            else:
+                assert line.startswith(f"PASS {path}: {name}")
+        assert lines[-1] == "FAIL overall: 1 failing checks"
         assert (code, err) == (1, "")
 
     def test_effective_necessity_above_one_is_an_invariant_violation(self, tmp_path,

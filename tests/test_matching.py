@@ -228,6 +228,32 @@ class TestRunLog:
             assert log.total_path_edges == sum(r.path_edges or 0 for r in log.records)
 
 
+# Paths that ``flip_path`` must reject, on ``TestKeptChecks.one_matched``'s
+# state, with the message it must give.
+STALE_PATHS = [
+    ((1, 0, 0, 1), r"absent edge \(0,1\)"),
+    ((0, 0), "arrived, unmatched client"),  # start already matched
+    ((2, 1), "arrived, unmatched client"),  # start not arrived yet
+    ((1, 0, 0, 0), "unmatched edge into the server"),
+    ((1, 1, 0, 0), "matched edge out of the server"),
+    ((1, 1, 2, 1), "matched edge out of the server"),  # client 2 not arrived yet
+    ((1, 0), "terminal server has no spare capacity"),
+    # Two faults: an absent edge goes first, wherever it is ...
+    ((2, 0), r"absent edge \(2,0\)"),  # with a start not arrived yet
+    ((1, 1, 0, 0, 2, 0), r"absent edge \(2,0\)"),  # after a stale hop
+    ((1, 1, 3, 0), r"absent edge \(3,0\)"),  # client 3 is beyond the instance
+    # ... and of the others, the first along the path.
+    ((0, 0, 0, 0), "arrived, unmatched client"),
+    ((1, 1, 0, 0, 0, 0), "matched edge out of the server"),
+]
+STALE_PATH_IDS = [
+    "absent-edge", "start-matched", "start-not-arrived", "matched-edge-in", "unmatched-edge-out",
+    "interior-not-arrived", "terminal-full", "absent-edge-and-start-not-arrived",
+    "absent-edge-after-stale-hop", "beyond-the-instance", "start-before-edge-in",
+    "first-stale-hop",
+]
+
+
 class TestKeptChecks:
     """Every check on the per-arrival path raises, and raises before any change."""
 
@@ -248,30 +274,41 @@ class TestKeptChecks:
 
     @staticmethod
     def one_matched():
-        """Client 0 on server 0; client 1 (neighbors 0 and 1) arrived, unmatched."""
+        """Client 0 (neighbor 0) on server 0; client 1 (neighbors 0 and 1) arrived,
+        unmatched; client 2 (neighbor 1) not arrived."""
         eng = SapEngine(ArrivalInstance.build(2, [[0], [0, 1], [1]]))
         eng.step(0)
         eng.arrive(1)
         return eng
 
-    @pytest.mark.parametrize(
-        "vertices, message",
-        [
-            ((0, 1), "arrived, unmatched client"),  # start already matched
-            ((2, 1), "arrived, unmatched client"),  # start not arrived yet
-            ((1, 0, 0, 0), "unmatched edge into the server"),
-            ((1, 1, 0, 0), "matched edge out of the server"),
-            ((1, 0), "terminal server has no spare capacity"),
-        ],
-        ids=["start-matched", "start-not-arrived", "matched-edge-in", "unmatched-edge-out",
-             "terminal-full"],
-    )
+    def assert_untouched(self, eng: SapEngine) -> None:
+        assert eng.state.server_of_client == [0, None]
+        assert eng.state.clients_of_server == [[0], []]
+        assert eng.state.arrived_count == 2
+
+    @pytest.mark.parametrize("vertices, message", STALE_PATHS, ids=STALE_PATH_IDS)
     def test_flip_path_rejects_stale_paths(self, vertices, message):
         eng = self.one_matched()
         with pytest.raises(ValueError, match=message):
-            flip_path(eng.state, AugPath(vertices))
-        assert eng.state.server_of_client == [0, None]
-        assert eng.state.clients_of_server == [[0], []]
+            flip_path(eng.state, AugPath(vertices), eng.instance.arrivals)
+        self.assert_untouched(eng)
+
+    @pytest.mark.parametrize("vertices, message", STALE_PATHS, ids=STALE_PATH_IDS)
+    def test_augment_rejects_stale_paths(self, vertices, message):
+        eng = self.one_matched()
+        with pytest.raises(ValueError, match=message):
+            eng.augment(AugPath(vertices))
+        self.assert_untouched(eng)
+
+    def test_fast_engine_rejects_a_corrupted_tree_path(self):
+        eng = FastSapEngine(ArrivalInstance.build(2, [[0], [1]]))
+        # The tree's path for client 0 runs through server 1, which it does not neighbor.
+        eng.tree.path_to_sink = lambda v: [v, eng.n + 1, eng.sink]
+        with pytest.raises(ValueError, match=r"absent edge \(0,1\)"):
+            eng.step(0)
+        assert eng.state.server_of_client == [None]
+        assert eng.state.clients_of_server == [[], []]
+        assert eng.log.records == []
 
 
 class TestCheckConsistent:
@@ -717,11 +754,100 @@ class TestFirstDiscovererPaths:
         assert_lockstep(engine, WalkBackSapEngine(inst))
 
 
-def record_engines(monkeypatch, module) -> list[SapEngine]:
-    """Collect every SapEngine that ``module`` builds while the test runs."""
+class TestFirstLayer:
+    """Searches that end in the root's neighbors, or read past them, step as the walk-back does."""
+
+    def test_free_neighbor_after_dead_ones(self):
+        # Client 2's failed search retires servers 0 and 1; client 3's first
+        # layer is then servers 2 and 3, both free, and the smaller one wins.
+        inst = ArrivalInstance.build(4, [[0, 1], [0, 1], [0, 1], [0, 1, 2, 3]])
+        engine, reference = SapEngine(inst), WalkBackSapEngine(inst)
+        paths = record_paths(engine)
+        assert_lockstep(engine, reference)
+        assert paths == [AugPath((0, 0)), AugPath((1, 1)), None, AugPath((3, 2))]
+        assert engine.dead == {0, 1}
+        assert engine.servers_visited == 2 + 2 + 2 + 2  # dead servers are not visited
+
+    def test_smallest_free_neighbor_wins(self):
+        inst = ArrivalInstance.build(5, [[1, 2, 4], [1, 2, 4], [0, 2, 3, 4]])
+        engine, reference = SapEngine(inst), WalkBackSapEngine(inst)
+        paths = record_paths(engine)
+        assert_lockstep(engine, reference)
+        assert [p.vertices for p in paths] == [(0, 1), (1, 2), (2, 0)]
+        assert engine.servers_visited == 3 + 3 + 4  # every live neighbor, not just the first free one
+
+    @pytest.mark.parametrize("engine_type", [SapEngine, FastSapEngine])
+    @pytest.mark.parametrize(
+        "neighbors",
+        [[[0], [], [0, 1], []], [[0], [0], [0]]],
+        ids=["no-neighbors", "all-neighbors-dead"],  # client 1's failed search retires server 0
+    )
+    def test_nothing_live_to_reach(self, neighbors, engine_type):
+        inst = ArrivalInstance.build(2, neighbors)
+        walk_back = WalkBackSapEngine if engine_type is SapEngine else WalkBackFastSapEngine
+        engine, reference = engine_type(inst), walk_back(inst)
+        for c in range(inst.client_count):
+            start = engine.servers_visited
+            assert engine.step(c) == reference.step(c)
+            assert_same_state(engine, reference)
+        assert not engine.log.records[-1].matched
+        assert engine.servers_visited == start  # the last search reached nothing
+        if engine_type is FastSapEngine:
+            assert engine.prune_events == reference.prune_events
+            last = engine.prune_events[-1]
+            assert (last.servers, last.clients) == (frozenset(), {inst.client_count - 1})
+
+    @pytest.mark.parametrize(
+        "neighbors, last_path",
+        [
+            # Servers 0 and 1 are full; client 0 reaches the free server 2.
+            ([[0, 2], [1, 2], [0, 1]], (2, 0, 0, 2)),
+            # Server 0 is full, and so is server 1 behind it.
+            ([[0, 1], [1, 2], [0]], (2, 0, 0, 1, 1, 2)),
+            # Server 1 is full, and so is server 0 behind it: the search fails.
+            ([[0], [0, 1], [1]], None),
+        ],
+        ids=["layer-2", "layer-3", "failed"],
+    )
+    def test_full_first_layer(self, neighbors, last_path):
+        inst = ArrivalInstance.build(3, neighbors)
+        engine, reference = SapEngine(inst), WalkBackSapEngine(inst)
+        paths = record_paths(engine)
+        assert_lockstep(engine, reference)
+        assert (paths[-1] and paths[-1].vertices) == last_path
+
+    def test_minmax_shared_capacities(self):
+        # Every epoch reopens the first layer: all servers gain a slot at once.
+        rng = random.Random(31)
+        epochs = 0
+        for _ in range(20):
+            servers = rng.randint(1, 8)
+            inst = gen_random(servers, rng.randint(1, 40), rng.randint(1, min(3, servers)),
+                              seed=rng.randrange(10**6))
+            caps = [0] * servers
+            engine = SapEngine(inst, capacity=caps)
+            epochs += len(minmax_lockstep(engine, WalkBackSapEngine(inst, capacity=caps), caps))
+        assert epochs >= 40
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_semi_matching_growing_allowances(self, seed, monkeypatch):
+        inst = gen_random(16, 32, 3, seed=seed)
+        engines = record_engines(monkeypatch, extensions)
+        _, log = run_semi_matching(inst, "1/2")
+        references = record_engines(monkeypatch, extensions, WalkBackSapEngine)
+        _, ref_log = run_semi_matching(inst, "1/2")
+        (engine,), (reference,) = engines, references
+        assert log == ref_log
+        assert_same_state(engine, reference)
+        assert engine.dead is None
+        assert log.total_path_edges > log.matched_count()  # some paths go past the first layer
+
+
+def record_engines(monkeypatch, module, base: type = SapEngine) -> list[SapEngine]:
+    """Collect every SapEngine that ``module`` builds while the test runs, as a ``base``."""
     engines: list[SapEngine] = []
 
-    class Recording(SapEngine):
+    class Recording(base):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             engines.append(self)

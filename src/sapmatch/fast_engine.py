@@ -120,7 +120,7 @@ class FastSapEngine(SapEngine):
         if tree.level[client] <= tree.depth_limit:
             nodes = tree.path_to_sink(client)
             nodes.pop()  # the sink
-            path = AugPath(tuple([v if v < n else v - n for v in nodes]))
+            path = tuple.__new__(AugPath, (tuple([v if v < n else v - n for v in nodes]),))
             log.tree_paths += 1
         else:
             path = self.shortest_aug_path(client)

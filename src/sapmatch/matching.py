@@ -36,53 +36,42 @@ and the search goes on from their clients.
 from __future__ import annotations
 
 import bisect
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import InvariantViolation
 from .instance import ArrivalInstance
 
+# The named tuples' own constructor, past NamedTuple's keyword-argument wrapper
+# and AugPath's shape check: every arrival logs one record, and may build a path.
+_new_tuple = tuple.__new__
 
-class AugPath:
+_PATH_SHAPE = "an augmenting path alternates client,server,... and ends at a server"
+
+
+class _PathFields(NamedTuple):
+    vertices: tuple[int, ...]
+
+
+class AugPath(_PathFields):
     """An augmenting path ``client, server, client, ..., server``.
 
     Vertices at even positions are client indices, odd positions are server
     indices.  The edge count is always odd: the path starts at an unmatched
     client and ends at a server with spare capacity.
 
-    Immutable, and equal and hashed by ``vertices``.  Every successful
-    arrival builds one, so it is a ``__slots__`` class whose constructor
-    writes the slot through its descriptor, past the ``__setattr__`` that
-    keeps it immutable.
+    A one-field named tuple.  The engines build theirs through
+    ``tuple.__new__``, past the constructor's shape check, as
+    ``RunLog.record`` builds records: ``flip_path`` checks the shape of
+    every path it applies, and rejects one that visits a server twice.
     """
 
-    __slots__ = ("vertices",)
-    vertices: tuple[int, ...]
+    __slots__ = ()
 
-    def __init__(self, vertices: tuple[int, ...]) -> None:
+    def __new__(cls, vertices: tuple[int, ...]) -> AugPath:
         if len(vertices) < 2 or len(vertices) % 2 != 0:
-            raise ValueError("an augmenting path alternates client,server,... and ends at a server")
-        _set_vertices(self, vertices)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.vertices == other.vertices
-
-    def __hash__(self) -> int:
-        return hash(self.vertices)
-
-    def __repr__(self) -> str:
-        return f"AugPath(vertices={self.vertices!r})"
-
-    def __reduce__(self):
-        return AugPath, (self.vertices,)
+            raise ValueError(_PATH_SHAPE)
+        return _new_tuple(cls, (vertices,))
 
     @property
     def edge_count(self) -> int:
@@ -93,9 +82,6 @@ class AugPath:
         return (self.edge_count - 1) // 2
 
 
-_set_vertices = AugPath.vertices.__set__  # the slot's own setter, past __setattr__
-
-
 class ArrivalRecord(NamedTuple):
     """One arrival's outcome: the path's edge count and replacements, if matched."""
 
@@ -103,11 +89,6 @@ class ArrivalRecord(NamedTuple):
     matched: bool
     path_edges: Optional[int]
     replacements: int
-
-
-# ArrivalRecord's tuple constructor, without the keyword-argument wrapper
-# NamedTuple puts in front of it: every arrival logs one record.
-_new_record = tuple.__new__
 
 
 @dataclass
@@ -129,12 +110,12 @@ class RunLog:
 
     def record(self, client: int, path_edges: Optional[int]) -> ArrivalRecord:
         if path_edges is None:
-            rec = _new_record(ArrivalRecord, (client, False, None, 0))
+            rec = _new_tuple(ArrivalRecord, (client, False, None, 0))
         else:
             if path_edges < 1 or path_edges % 2 == 0:
                 raise ValueError("augmenting paths have an odd, positive number of edges")
             replacements = (path_edges - 1) // 2
-            rec = _new_record(ArrivalRecord, (client, True, path_edges, replacements))
+            rec = _new_tuple(ArrivalRecord, (client, True, path_edges, replacements))
             self.total_replacements += replacements
             self.total_path_edges += path_edges
         self.records.append(rec)
@@ -192,11 +173,15 @@ def flip_path(state: MatchState, path: AugPath, arrivals: Sequence[tuple[int, Se
     ``arrivals[c][1]``.  One pass checks the whole path against the current
     state before anything changes, so a stale path (one whose edges no
     longer alternate unmatched/matched) is rejected rather than corrupting
-    the matching.  An absent edge anywhere is reported first; otherwise the
-    first fault along the path (a start that is matched or has not arrived,
-    then each server's edges in and out), and last a full terminal server.
+    the matching.  A path of the wrong shape is reported first, then an
+    absent edge anywhere; otherwise the first fault along the path (a start
+    that is matched or has not arrived, then each server's edges in and
+    out), then a server visited twice, and last a full terminal server.
     """
     verts = path.vertices
+    size = len(verts)
+    if size < 2 or size % 2 != 0:
+        raise ValueError(_PATH_SHAPE)
     server_of_client, clients_of_server = state.server_of_client, state.clients_of_server
     arrived, known = state.arrived_count, len(arrivals)
     # The first edge is checked apart, as most paths have no other, and an
@@ -207,7 +192,7 @@ def flip_path(state: MatchState, path: AugPath, arrivals: Sequence[tuple[int, Se
     fault: Optional[str] = None
     if start >= arrived or server_of_client[start] is not None:
         fault = "path must start at an arrived, unmatched client"
-    for i in range(2, len(verts), 2):
+    for i in range(2, size, 2):
         client, server = verts[i], verts[i + 1]
         if client >= known or server not in arrivals[client][1]:
             raise ValueError(f"path uses the absent edge ({client},{server})")
@@ -219,20 +204,24 @@ def flip_path(state: MatchState, path: AugPath, arrivals: Sequence[tuple[int, Se
                 fault = "stale path: expected an unmatched edge into the server"
     if fault is not None:
         raise ValueError(fault)
+    # Distinct servers keep each server's load; with each interior client on
+    # the server before it, they also make the clients distinct.
+    if size > 2 and len(set(verts[1::2])) * 2 != size:
+        raise ValueError("path visits a server twice")
     terminal = verts[-1]
     if len(clients_of_server[terminal]) >= state.capacity[terminal]:
         raise ValueError("stale path: terminal server has no spare capacity")
 
     # Re-seat every client on the path; all servers except the terminal one
     # swap one occupant for another, so capacities are respected throughout.
-    for i in range(0, len(verts) - 1, 2):
+    for i in range(0, size - 1, 2):
         client, server = verts[i], verts[i + 1]
         old = server_of_client[client]
         if old is not None:
             clients_of_server[old].remove(client)
         server_of_client[client] = server
         bisect.insort(clients_of_server[server], client)
-    return (len(verts) - 2) // 2  # path.replacements, off the vertex count
+    return (size - 2) // 2  # path.replacements, off the vertex count
 
 
 class SapEngine:
@@ -316,7 +305,7 @@ class SapEngine:
         for s in layer:
             if len(clients_of_server[s]) < capacity[s]:
                 self.servers_visited += len(layer)
-                return AugPath((client, s))
+                return _new_tuple(AugPath, ((client, s),))
         if not layer:
             if self.dead is not None:
                 self._retire(client, {})
@@ -354,7 +343,7 @@ class SapEngine:
         while reversed_vertices[-1] != client:
             server = server_of_client[reversed_vertices[-1]]
             reversed_vertices += (server, via[server])
-        return AugPath(tuple(reversed(reversed_vertices)))
+        return _new_tuple(AugPath, (tuple(reversed(reversed_vertices)),))
 
     def _retire(self, client: int, servers: dict[int, int]) -> None:
         """Retire what the failed search from ``client`` reached (fixed capacities only)."""

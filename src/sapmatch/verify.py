@@ -160,7 +160,7 @@ def verify_instance(instance: ArrivalInstance) -> list[CheckResult]:
         if size_naive != want or size_fast != want:
             fail("matching-maximality",
                  f"after arrival {c}: naive {size_naive}, fast {size_fast}, maximum {want}")
-        logged = naive.log.records[-1]
+        logged = naive.log.records[-1]  # the checks below audit the log, not step's return
         want = oracle_shortest_aug_path(neighbors, snapshot, [1] * servers, c)
         if logged.path_edges != want:
             fail("naive-oracle-parity", f"arrival {c}: engine {logged.path_edges}, oracle {want}")
@@ -178,7 +178,7 @@ def verify_instance(instance: ArrivalInstance) -> list[CheckResult]:
                                            f"{totals[1]} edges; records {replaced}, {walked}")
         # Ties may lead the two engines to different matchings, so per-arrival
         # lengths are not comparable across engines; matched/unmatched is.
-        outcomes = logged.matched, fast.log.records[-1].matched
+        outcomes = logged.matched, fast_rec.matched
         if outcomes[0] != outcomes[1]:
             naive_says, fast_says = ("matched" if m else "unmatched" for m in outcomes)
             fail("engine-outcome-parity", f"arrival {c}: naive {naive_says}, fast {fast_says}")

@@ -23,6 +23,7 @@ from sapmatch import (
     balance,
     effective_necessities,
     extensions,
+    fast_engine,
     flip_path,
     gen_minmax_adversary,
     gen_random,
@@ -300,6 +301,36 @@ class TestKeptChecks:
             eng.augment(AugPath(vertices))
         self.assert_untouched(eng)
 
+    @staticmethod
+    def apply(eng: SapEngine, path: AugPath, via: str) -> int:
+        if via == "augment":
+            return eng.augment(path)
+        return flip_path(eng.state, path, eng.instance.arrivals)
+
+    @pytest.mark.parametrize("via", ["flip_path", "augment"])
+    @pytest.mark.parametrize("vertices", [(0,), (0, 1, 2)], ids=["one-vertex", "odd-length"])
+    def test_paths_built_past_the_constructor_are_shape_checked(self, vertices, via):
+        eng = self.one_matched()
+        path = tuple.__new__(AugPath, (vertices,))
+        with pytest.raises(ValueError, match="alternates client,server,... and ends at a server"):
+            self.apply(eng, path, via)
+        self.assert_untouched(eng)
+
+    @pytest.mark.parametrize("via", ["flip_path", "augment"])
+    def test_a_repeated_server_is_rejected(self, via):
+        # Every hop is sound and server 2 is free, but server 0 comes twice:
+        # applied, the path would leave clients 0 and 2 both on it.
+        eng = SapEngine(ArrivalInstance.build(3, [[0], [0, 1, 2], [0, 1]]))
+        for c in range(3):
+            eng.arrive(c)
+        eng.augment(AugPath((1, 0)))
+        eng.augment(AugPath((2, 1)))
+        with pytest.raises(ValueError, match="path visits a server twice"):
+            self.apply(eng, AugPath((0, 0, 1, 1, 2, 0, 1, 2)), via)
+        assert eng.state.server_of_client == [None, 0, 1]
+        assert eng.state.clients_of_server == [[1], [2], []]
+        eng.state.check_consistent()
+
     def test_fast_engine_rejects_a_corrupted_tree_path(self):
         eng = FastSapEngine(ArrivalInstance.build(2, [[0], [1]]))
         # The tree's path for client 0 runs through server 1, which it does not neighbor.
@@ -384,6 +415,29 @@ class TestValueTypes:
         path = AugPath(tuple(range(edges + 1)))
         assert path.edge_count == edges
         assert path.replacements == (edges - 1) // 2
+
+
+    def test_engine_paths_are_plain_aug_paths(self, monkeypatch):
+        # The engines build paths past the constructor; they are still AugPath values.
+        inst = gen_star_chain(5)
+        naive = SapEngine(inst)
+        paths = record_paths(naive)
+        naive.run()
+        # the naive first-layer exit, and walk-backs of 3 to 9 edges
+        assert {path.edge_count for path in paths} == {1, 3, 5, 7, 9}
+        fast = FastSapEngine(inst, depth_limit=2 * inst.client_count)
+        applied = []
+
+        def recording(state, path, arrivals):
+            applied.append(path)
+            return flip_path(state, path, arrivals)
+
+        monkeypatch.setattr(fast_engine, "flip_path", recording)
+        fast.run()
+        assert fast.log.tree_paths == len(applied) == inst.client_count
+        for path in paths + applied:
+            assert type(path) is AugPath
+            assert path == AugPath(path.vertices)
 
 
 def unpruned_engine(inst: ArrivalInstance) -> SapEngine:

@@ -91,8 +91,9 @@ def run_minmax(instance: ArrivalInstance) -> tuple[MatchState, RunLog, list[Epoc
     The maximum load is checked to equal the optimum after every arrival in
     O(1): an augmentation raises only its end server's load, so by induction
     it suffices that this server ends at most at the optimum, and exactly at
-    it when an epoch opens.  One full scan runs at the end.  ``opt_load``
-    is the independent flow-based reference for the optimum.
+    it when an epoch opens.  One full scan runs at the end.
+    ``oracles.oracle_opt_load`` is the independent reference for the
+    optimum, a maximum matching over server copies.
     """
     if instance.capacities is not None:
         raise ValueError("min-max mode expects an uncapacitated instance")

@@ -31,6 +31,18 @@ still counts toward ``servers_visited``, as the full search would reach
 them all.  With no live neighbor the search fails having reached nothing.
 Only when all of them are full are they recorded as reached from the root,
 and the search goes on from their clients.
+
+Twin clients.  Clients with equal neighbor tuples are twins, and
+``ArrivalInstance.twin_classes`` numbers their classes when at least half
+the clients have a twin before them.  A search then scans one client per
+class: the root's class counts as read, and each later layer, in its
+ascending order, drops every client whose class an earlier scan of this
+search read.  Nothing changes, because once a client is scanned each of its
+neighbors is in the predecessor map or dead; the map only grows during a
+search and the dead set stays fixed, so a twin scanned later would find no
+new server, record no predecessor and meet no free server.  The servers
+reached, their order, the free server, the path, ``servers_visited`` and
+the set a failed search retires are the same as without the table.
 """
 
 from __future__ import annotations
@@ -245,7 +257,10 @@ class SapEngine:
     reference that the caller may grow in place (min-max and semi-matching
     allowances); the engine then sets ``dead = None`` and never prunes.
 
-    ``servers_visited`` adds up the servers every search reaches: the
+    The twin table (see the module docstring) is read once, here at
+    construction.  ``servers_visited`` adds up the servers every search
+    reaches, and ``clients_scanned`` the frontier clients whose neighbor
+    tuples the searches read (twins skipped, the root not counted): the
     search's work, deterministic for a given run.
     """
 
@@ -253,7 +268,7 @@ class SapEngine:
         self.instance = instance
         caps: Sequence[int]
         if capacity is None:
-            caps = tuple(instance.capacity(s) for s in range(instance.server_count))
+            caps = instance.capacities or (1,) * instance.server_count
         elif isinstance(capacity, list):
             caps = capacity  # shared reference: callers may grow allowances in place
         else:
@@ -264,7 +279,9 @@ class SapEngine:
         # Servers no augmenting path can reach again; None when capacities may grow.
         self.dead: set[int] | None = None if isinstance(caps, list) else set()
         self.log = RunLog()
+        self._twins = instance.twin_classes
         self.servers_visited = 0
+        self.clients_scanned = 0
 
     def arrive(self, client: int) -> tuple[int, ...]:
         """Admit the next client, unmatched; returns its neighbors."""
@@ -313,6 +330,9 @@ class SapEngine:
         via = dict.fromkeys(layer, client)  # server -> the first client to reach it
         new_servers = layer
         target: Optional[int] = None
+        twins = self._twins
+        read = None if twins is None else {twins[client]}  # classes already scanned
+        scanned = 0
         while True:
             # every matched client sits on one server, reached once: no duplicates
             frontier: list[int] = []
@@ -321,6 +341,15 @@ class SapEngine:
             if not frontier:
                 break
             frontier.sort()  # so the first client to reach a server is the smallest
+            if read is not None:  # a twin of a scanned client reaches nothing new
+                fresh = []
+                for c in frontier:
+                    k = twins[c]
+                    if k not in read:
+                        read.add(k)
+                        fresh.append(c)
+                frontier = fresh
+            scanned += len(frontier)
             new_servers, free = [], []
             for c in frontier:
                 for s in arrivals[c][1]:  # c's own server is already in via
@@ -333,6 +362,7 @@ class SapEngine:
                 target = min(free)
                 break
         self.servers_visited += len(via)
+        self.clients_scanned += scanned
         if target is None:
             if self.dead is not None:
                 self._retire(client, via)

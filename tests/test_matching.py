@@ -755,9 +755,10 @@ class TestFirstDiscovererPaths:
             lambda: gen_minmax_adversary(8),
             lambda: gen_minmax_adversary(16),
             lambda: with_capacity(gen_minmax_adversary(8), 2),
+            lambda: with_capacity(gen_minmax_adversary(16), 2),
         ],
         ids=["star-chain-5", "star-chain-12", "star-chain-20", "adversary-8",
-             "adversary-16", "adversary-8-capacity-2"],
+             "adversary-16", "adversary-8-capacity-2", "adversary-16-capacity-2"],
     )
     def test_gadgets(self, build):
         inst = build()
@@ -780,9 +781,10 @@ class TestFirstDiscovererPaths:
         assert engine.prune_events == reference.prune_events
         assert getattr(engine.log, searched) > 0
 
-    @pytest.mark.parametrize("load", [8, 20, 32])
+    @pytest.mark.parametrize("load", [8, 20, 32, 48, 64])
     def test_minmax_adversary(self, load, monkeypatch):
-        # Loads up to L put many clients on each server the search reaches.
+        # Loads up to L put many clients on each server the search reaches,
+        # L^2 clients in L twin classes; the walk-back reads every one of them.
         inst = gen_minmax_adversary(load)
         caps = [0] * inst.server_count
         engine = SapEngine(inst, capacity=caps)
@@ -883,18 +885,148 @@ class TestFirstLayer:
             epochs += len(minmax_lockstep(engine, WalkBackSapEngine(inst, capacity=caps), caps))
         assert epochs >= 40
 
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_semi_matching_growing_allowances(self, seed, monkeypatch):
-        inst = gen_random(16, 32, 3, seed=seed)
+    @pytest.mark.parametrize(
+        "build, epsilon",
+        [
+            (lambda: gen_random(16, 32, 3, seed=1), "1/2"),
+            (lambda: gen_random(16, 32, 3, seed=2), "1/2"),
+            (lambda: gen_random(16, 32, 3, seed=3), "1/2"),
+            # allowances this tight send twins past the first layer
+            (lambda: gen_minmax_adversary(8), "1/100"),
+        ],
+        ids=["1", "2", "3", "adversary-8"],
+    )
+    def test_semi_matching_growing_allowances(self, build, epsilon, monkeypatch):
+        inst = build()
         engines = record_engines(monkeypatch, extensions)
-        _, log = run_semi_matching(inst, "1/2")
+        _, log = run_semi_matching(inst, epsilon)
         references = record_engines(monkeypatch, extensions, WalkBackSapEngine)
-        _, ref_log = run_semi_matching(inst, "1/2")
+        _, ref_log = run_semi_matching(inst, epsilon)
         (engine,), (reference,) = engines, references
         assert log == ref_log
         assert_same_state(engine, reference)
         assert engine.dead is None
         assert log.total_path_edges > log.matched_count()  # some paths go past the first layer
+
+
+def without_twins(inst: ArrivalInstance) -> ArrivalInstance:
+    """The same instance with its twin table forced off, so searches scan every client."""
+    plain = ArrivalInstance(inst.server_count, inst.arrivals, inst.capacities)
+    plain.__dict__["_twin_classes"] = None
+    return plain
+
+
+class TestTwinClients:
+    """A search scans one client per twin class and still steps as the walk-back does."""
+
+    @staticmethod
+    def lockstep(inst: ArrivalInstance, engine_type: type = SapEngine):
+        """Step the engine against the walk-back, and against itself without the table."""
+        assert inst.twin_classes is not None
+        walk_back = WalkBackSapEngine if engine_type is SapEngine else WalkBackFastSapEngine
+        assert_lockstep(engine_type(inst), walk_back(inst))
+        engine, plain = engine_type(inst), engine_type(without_twins(inst))
+        paths = record_paths(engine)  # kept whole: assert_lockstep clears only its own list
+        assert_lockstep(engine, plain)
+        return engine, plain, paths
+
+    def test_the_smaller_twin_discovers(self):
+        # Client 2 pushes client 0 from server 0 to server 2, so the twins sit
+        # out of index order: client 1 on server 1, client 0 on server 2.
+        # Client 3's first frontier gathers [1, 0]; client 0 scans first and
+        # reaches the free server 3, and its twin adds nothing.
+        inst = ArrivalInstance.build(
+            4, [[0, 1, 2, 3], [0, 1, 2, 3], [0], [1, 2], [0, 1, 2, 3], [0, 1, 2, 3]]
+        )
+        engine, plain, paths = self.lockstep(inst)
+        assert paths[3].vertices == (3, 2, 0, 3)
+        assert engine.clients_scanned < plain.clients_scanned
+
+    def test_a_twin_of_the_root(self):
+        # Client 0, a twin of client 2, sits on client 2's first layer and is
+        # never scanned: client 1 alone finds server 2.  Client 3's first
+        # layer holds two twins of it, so its search fails having scanned
+        # nobody, and retires what the full scan retires.
+        inst = ArrivalInstance.build(3, [[0, 1], [1, 2], [0, 1], [0, 1]])
+        engine, plain, paths = self.lockstep(inst)
+        assert paths[2].vertices == (2, 1, 1, 2) and paths[3] is None
+        assert engine.dead == plain.dead == {0, 1}
+        assert (engine.clients_scanned, plain.clients_scanned) == (1, 4)
+
+    def test_twins_in_two_layers(self):
+        # Client 0 is scanned in client 3's first frontier, and its twin,
+        # client 1, turns up one layer later beside client 2, which shares
+        # only its first server with them and must still be scanned.
+        inst = ArrivalInstance.build(
+            4, [[0, 1, 2], [0, 1, 2], [0, 2, 3], [0], [0], [0, 2, 3]]
+        )
+        engine, plain, paths = self.lockstep(inst)
+        assert paths[3].vertices == (3, 0, 0, 2, 2, 3)
+        assert paths[4] is None and paths[5] is None
+        assert engine.dead == plain.dead == {0, 1, 2, 3}
+        assert engine.clients_scanned < plain.clients_scanned
+
+    @pytest.mark.parametrize("engine_type", [SapEngine, FastSapEngine])
+    def test_failed_searches_retire_the_same_servers(self, engine_type):
+        # The unit-capacity adversary: most arrivals fail, the first of them
+        # with a frontier of twins, the rest with every neighbor dead.
+        inst = gen_minmax_adversary(16)
+        engine, plain, paths = self.lockstep(inst, engine_type)
+        assert paths.count(None) > inst.client_count // 2
+        assert engine.dead == plain.dead and len(engine.dead) == inst.server_count
+        if engine_type is FastSapEngine:
+            assert engine.prune_events == plain.prune_events
+        assert engine.clients_scanned < plain.clients_scanned
+
+    def test_table_only_where_twins_abound(self):
+        for seed in range(5):
+            assert gen_random(64, 128, 3, seed).twin_classes is None
+            assert gen_random(5, 400, 3, seed).twin_classes is not None  # ten tuples
+        assert gen_star_chain(40).twin_classes is None
+        inst = gen_minmax_adversary(20)
+        table = inst.twin_classes
+        assert inst.twin_classes is table  # cached
+        # the cached table is no field: equality and hashing are as before
+        assert inst == gen_minmax_adversary(20) and hash(inst) == hash(gen_minmax_adversary(20))
+        assert len(table) == 400 and set(table) == set(range(20))
+        for c in range(inst.client_count):
+            for d in range(inst.client_count):
+                assert (table[c] == table[d]) == (inst.neighbors(c) == inst.neighbors(d))
+        # exactly half the clients repeat an earlier tuple: the least that builds one
+        assert ArrivalInstance.build(2, [[0], [1], [0], [1]]).twin_classes == (0, 1, 0, 1)
+        assert ArrivalInstance.build(3, [[0], [1], [2], [0], [1]]).twin_classes is None
+
+
+class TestClientsScanned:
+    @pytest.mark.parametrize(
+        "load, visited, scanned, plain_scanned",
+        [(20, 2795, 2065, 31093), (32, 10256, 8368, 201178), (64, 73886, 66270, 3182638)],
+    )
+    def test_minmax_adversary(self, load, visited, scanned, plain_scanned, monkeypatch):
+        engines = record_engines(monkeypatch, extensions)
+        inst = gen_minmax_adversary(load)
+        log, epochs = run_minmax(inst)[1:]
+        plain_log, plain_epochs = run_minmax(without_twins(inst))[1:]
+        assert (plain_log, plain_epochs) == (log, epochs)
+        engine, plain = engines
+        assert (engine.servers_visited, engine.clients_scanned) == (visited, scanned)
+        assert (plain.servers_visited, plain.clients_scanned) == (visited, plain_scanned)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: gen_random(640, 1024, 3, 1), lambda: gen_random(1024, 1024, 3, 2),
+         lambda: gen_star_chain(40)],
+        ids=["random-overloaded", "random-balanced", "star-chain"],
+    )
+    def test_no_table_scans_every_client(self, build):
+        inst = build()
+        engine, plain = SapEngine(inst), SapEngine(without_twins(inst))
+        assert engine.run() == plain.run()
+        assert engine.clients_scanned == plain.clients_scanned > 0
+        assert engine.servers_visited == plain.servers_visited
+        again = SapEngine(inst)
+        again.run()
+        assert again.clients_scanned == engine.clients_scanned
 
 
 def record_engines(monkeypatch, module, base: type = SapEngine) -> list[SapEngine]:

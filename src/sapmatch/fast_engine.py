@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .instance import ArrivalInstance
 from .matching import ArrivalRecord, AugPath, MatchState, RunLog, SapEngine, flip_path
@@ -35,7 +36,10 @@ class PruneEvent:
 
 
 class _BfsCheckedTree(SinkDistanceTree):
-    """A sink tree that checks itself against a fresh BFS after every change."""
+    """A sink tree that checks itself against a fresh BFS after every change.
+
+    Its ``attach`` and ``reverse_path`` go arc by arc, so each arc change is checked.
+    """
 
     def insert_arc(self, u: int, v: int) -> None:
         super().insert_arc(u, v)
@@ -49,6 +53,17 @@ class _BfsCheckedTree(SinkDistanceTree):
         super().delete_node(v)
         self.validate_against_bfs()
 
+    def attach(self, u: int, targets: Sequence[int]) -> None:
+        for v in targets:
+            self.insert_arc(u, v)
+        self.delete_arc(u, self.sink)
+
+    def reverse_path(self, nodes: Sequence[int]) -> None:
+        for u, v in zip(nodes, nodes[1:]):
+            self.insert_arc(v, u)
+            self.delete_arc(u, v)
+        self.delete_arc(nodes[-1], self.sink)
+
 
 class FastSapEngine(SapEngine):
     """``SapEngine`` that reads paths within the depth limit off a sink tree.
@@ -56,11 +71,13 @@ class FastSapEngine(SapEngine):
     Arrival bookkeeping, the fallback search and dead-server pruning are
     ``SapEngine``'s; ``_retire`` also removes the reached nodes from the
     digraph and logs a ``PruneEvent``, so ``dead`` always equals the tree's
-    removed server nodes.  Every ``step`` ends with the tree's local Bellman
-    check (``SinkDistanceTree.validate_local``), which costs in proportion
-    to the arrival's updates and proves the tree still equals a fresh
-    truncated BFS.  ``run`` also checks it against a full BFS once at the
-    end, and ``debug=True`` does so after every single arc change as well.
+    removed server nodes.  A ``step`` changes the tree in one ``attach`` call
+    (the client's arcs) and, when it matches, one ``reverse_path`` call (the
+    flip), and ends with the tree's local Bellman check
+    (``SinkDistanceTree.validate_local``), which costs in proportion to the
+    arrival's updates and proves the tree still equals a fresh truncated BFS.
+    ``run`` also checks it against a full BFS once at the end, and
+    ``debug=True`` does so after every single arc change as well.
     """
 
     def __init__(
@@ -108,14 +125,10 @@ class FastSapEngine(SapEngine):
 
     def step(self, client: int) -> ArrivalRecord:
         neighbors = self.arrive(client)
-        tree, n, sink, log = self.tree, self.n, self.sink, self.log
+        tree, n, log = self.tree, self.n, self.log
         deleted = tree.deleted
-        for s in neighbors:
-            node = n + s
-            if node not in deleted:
-                tree.insert_arc(client, node)
-        # Deleting the dummy arc last keeps every insertion distance-neutral.
-        tree.delete_arc(client, sink)
+        # The dummy arc goes last, which keeps every insertion distance-neutral.
+        tree.attach(client, [node for s in neighbors if (node := n + s) not in deleted])
 
         if tree.level[client] <= tree.depth_limit:
             nodes = tree.path_to_sink(client)
@@ -133,10 +146,7 @@ class FastSapEngine(SapEngine):
         flip_path(self.state, path, self.instance.arrivals)
         # Reverse the path arcs starting next to the client; the dummy arc of
         # the terminal server goes last, once that server is matched.
-        for u, v in zip(nodes, nodes[1:]):
-            tree.insert_arc(v, u)
-            tree.delete_arc(u, v)
-        tree.delete_arc(nodes[-1], sink)
+        tree.reverse_path(nodes)
         tree.validate_local()
         return log.record(client, len(nodes) - 1)
 

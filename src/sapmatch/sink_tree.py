@@ -1,7 +1,8 @@
 """Bounded-depth dynamic shortest paths to a fixed sink in a directed graph.
 
 Supports arc deletions freely, arc insertions under the caller's guarantee
-that no insertion shortens any distance, and whole-node removal.  Distances
+that no insertion shortens any distance, and whole-node removal; ``attach``
+and ``reverse_path`` each make a run of arc updates in one call.  Distances
 are maintained exactly up to ``depth_limit``; anything further is collapsed
 into a single HIGH level.
 
@@ -54,25 +55,26 @@ is at most the distance.  A node's condition reads only its own level and
 parent, its out-arcs and its out-neighbours' levels, so an update can break
 it only at
 
-- the nodes ``_repair`` starts from (their parent arc went away);
+- the nodes a repair starts from (their parent arc went away);
 - the in-neighbours of every node whose level rose (this covers every node
   whose parent a repair rewrote: stage 1 rescans only seeds and children of
   risen nodes, stage 2 rewrites only queued nodes, which are such nodes,
   and children of affected nodes, and every affected node rises);
 - a removed node and its in-neighbours.
 
-An insertion breaks no condition, because ``insert_arc`` rejects every arc
-that would shorten a distance.  The tree records exactly these nodes in
-``dirty``; ``validate_local`` checks them and clears the set.  If the tree
-equalled a fresh BFS before, it equals one after, at a cost in proportion to
-the update instead of the graph.  The set is filled by what changed, not by
-what a repair chose to rescan, so a repair that skips nodes is caught.
+An insertion breaks no condition, because ``insert_arc``, ``attach`` and
+``reverse_path`` reject every arc that would shorten a distance.  The tree
+records exactly these nodes in ``dirty``; ``validate_local`` checks them and
+clears the set.  If the tree equalled a fresh BFS before, it equals one
+after, at a cost in proportion to the update instead of the graph.  The set
+is filled by what changed, not by what a repair chose to rescan, so a repair
+that skips nodes is caught.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import InvariantViolation
 
@@ -185,13 +187,110 @@ class SinkDistanceTree:
         if kids:
             self._repair(kids)
 
+    def attach(self, u: int, targets: Sequence[int]) -> None:
+        """``insert_arc(u, v)`` for each ``v`` in ``targets``, then ``delete_arc(u, sink)``,
+        with the repair's first scan inline.
+        """
+        level, parent, out, into, dirty = self.level, self.parent, self.out, self.into, self.dirty
+        deleted, count, sink, high = self.deleted, self.node_count, self.sink, self.high
+        for v in targets:
+            if (0 <= u < count and 0 <= v < count and u != v and u != sink and u not in deleted
+                    and v not in deleted and v not in out[u] and level[v] + 1 >= level[u]):
+                out[u].add(v)
+                into[v].add(u)
+            else:
+                self.insert_arc(u, v)  # raises the error the per-arc call raises
+        out_u = out[u]
+        if sink not in out_u:
+            raise ValueError("arc not present")
+        out_u.discard(sink)
+        into[sink].discard(u)
+        if parent[u] != sink:
+            return
+        # The first scan of _repair((u,)), as in reverse_path.
+        dirty.add(u)
+        best, support = high + 2, None
+        for w in out_u:
+            candidate = level[w] + 1
+            if candidate < best or (candidate == best and w < support):
+                best, support = candidate, w
+        if best >= high:
+            best, support = high, None
+        current = level[u]
+        if best < current:
+            raise InvariantViolation(f"level of node {u} tried to decrease")
+        parent[u] = support
+        if best > current:
+            level[u] = best
+            queue = [u]
+            for x in into[u]:
+                dirty.add(x)
+                if parent[x] == u:
+                    queue.append(x)
+            if len(queue) > 1:
+                self._cascade(queue, 1)
+                return
+        self.repair_scans += 1
+
+    def reverse_path(self, nodes: Sequence[int]) -> None:
+        """``insert_arc(v, u); delete_arc(u, v)`` for each arc ``(u, v)`` along ``nodes``,
+        then ``delete_arc(nodes[-1], sink)``, with each repair's first scan inline.
+        """
+        level, parent, out, into, dirty = self.level, self.parent, self.out, self.into, self.dirty
+        deleted, count, sink, high = self.deleted, self.node_count, self.sink, self.high
+        last = len(nodes) - 1
+        for i, u in enumerate(nodes):
+            if i < last:
+                v = nodes[i + 1]
+                if (0 <= u < count and 0 <= v < count and u != v and v != sink and u not in deleted
+                        and v not in deleted and u not in out[v] and level[u] + 1 >= level[v]):
+                    out[v].add(u)
+                    into[u].add(v)
+                else:
+                    self.insert_arc(v, u)  # raises the error the per-arc call raises
+            else:
+                v = sink
+            out_u = out[u]
+            if v not in out_u:
+                raise ValueError("arc not present")
+            out_u.discard(v)
+            into[v].discard(u)
+            if parent[u] != v:
+                continue
+            # The first scan of _repair((u,)), which ends it unless u rose and has children.
+            dirty.add(u)
+            best, support = high + 2, None
+            for w in out_u:
+                candidate = level[w] + 1
+                if candidate < best or (candidate == best and w < support):
+                    best, support = candidate, w
+            if best >= high:
+                best, support = high, None
+            current = level[u]
+            if best < current:
+                raise InvariantViolation(f"level of node {u} tried to decrease")
+            parent[u] = support
+            if best > current:
+                level[u] = best
+                queue = [u]
+                for x in into[u]:
+                    dirty.add(x)
+                    if parent[x] == u:
+                        queue.append(x)
+                if len(queue) > 1:
+                    self._cascade(queue, 1)
+                    continue
+            self.repair_scans += 1
+
     def _repair(self, seeds: tuple[int, ...]) -> None:
+        self.dirty.update(seeds)
+        self._cascade(list(seeds), 0)
+
+    def _cascade(self, queue: list[int], i: int) -> None:
+        """Stage 1 over ``queue``, of which the first ``i`` scans are made already."""
         level, parent, out, into, dirty = self.level, self.parent, self.out, self.into, self.dirty
         high = self.high
-        dirty.update(seeds)
         # queue[:i] are the scans made so far, queue[i:] the ones to come.
-        queue = list(seeds)
-        i = 0
         # The switch comes once i scans have visited at most i / 2 distinct
         # nodes.  With d nodes seen so far that cannot happen before scan
         # 2 * d, so the nodes seen are counted only then.
@@ -236,7 +335,7 @@ class SinkDistanceTree:
         self.repair_scans += i
 
     def _settle(self, queued: Iterable[int]) -> None:
-        """Give every node ``_repair`` left queued, and all it supports, its final level.
+        """Give every node ``_cascade`` left queued, and all it supports, its final level.
 
         Called mid-repair: every node that is not queued meets its Bellman
         condition, every level is at most the node's true distance, and no

@@ -313,6 +313,20 @@ class TestValidationContract:
         engine.run()
         assert counts["validate_against_bfs"] == 1
 
+    @pytest.mark.parametrize(
+        "instance, matched",
+        # The star chain matches all 4,095 arrivals: 8,190 update calls in all.
+        [(INSTANCE, 24), (gen_star_chain(90), 4095)],
+        ids=["overloaded", "star-chain"],
+    )
+    def test_steps_update_the_tree_once_per_arrival_and_path(self, instance, matched):
+        engine = FastSapEngine(instance)
+        counts = count_calls(engine.tree, ("insert_arc", "delete_arc", "attach", "reverse_path"))
+        for c in range(instance.client_count):
+            engine.step(c)
+        assert sum(record.matched for record in engine.log.records) == matched
+        assert counts == {"insert_arc": 0, "delete_arc": 0, "attach": instance.client_count, "reverse_path": matched}
+
     def test_debug_checks_by_bfs_after_every_change(self):
         engine = FastSapEngine(self.INSTANCE, debug=True)
         changes = ("insert_arc", "delete_arc", "delete_node")

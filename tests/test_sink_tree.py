@@ -23,13 +23,33 @@ from sapmatch import (
 )
 
 
-class ScanAndRaiseTree(SinkDistanceTree):
+class PerArcUpdates:
+    """``attach`` and ``reverse_path`` as the per-arc calls they stand for."""
+
+    def attach(self, u, targets):
+        for v in targets:
+            self.insert_arc(u, v)
+        self.delete_arc(u, self.sink)
+
+    def reverse_path(self, nodes):
+        for u, v in zip(nodes, nodes[1:]):
+            self.insert_arc(v, u)
+            self.delete_arc(u, v)
+        self.delete_arc(nodes[-1], self.sink)
+
+
+class PerArcTree(PerArcUpdates, SinkDistanceTree):
+    pass
+
+
+class ScanAndRaiseTree(PerArcUpdates, SinkDistanceTree):
     """The reference repair: Even-Shiloach scan-and-raise until nothing changes.
 
     Every node climbs one level per scan, however far it has to go.  Written
     out in full so that it shares no code with the repair under test, and it
     finds a node's children by a full scan of ``parent`` rather than off the
-    node's in-arcs.
+    node's in-arcs.  Its ``attach`` and ``reverse_path`` go arc by arc, so
+    this repair runs on every update.
     """
 
     def children(self, u):
@@ -139,6 +159,39 @@ class TestArcOps:
         assert tree.level[0] == 2
         tree.delete_arc(0, tree.parent[0])
         assert tree.level[0] == 2
+        tree.validate_against_bfs()
+
+
+class TestFusedOps:
+    def test_reverse_path_over_a_missing_arc_rejected(self):
+        tree = SinkDistanceTree(3, 2, 3, arcs=[(0, 2), (1, 2)])
+        with pytest.raises(ValueError, match="arc not present"):
+            tree.reverse_path([0, 1])
+
+    def test_reverse_path_onto_an_existing_arc_rejected(self):
+        tree = SinkDistanceTree(3, 2, 3, arcs=[(0, 1), (1, 0), (1, 2)])
+        with pytest.raises(ValueError, match="arc already present"):
+            tree.reverse_path([0, 1])
+
+    def test_attach_to_a_removed_node_rejected(self):
+        tree = SinkDistanceTree(3, 2, 3, arcs=[(0, 2), (1, 2)])
+        tree.delete_node(1)
+        with pytest.raises(ValueError, match="cannot attach arcs to a removed node"):
+            tree.attach(0, [1])
+
+    def test_attach_with_a_shortening_arc_raises(self):
+        # 0 -> 1 -> sink: an arc 0 -> sink would drop 0's distance.
+        tree = SinkDistanceTree(3, 2, 3, arcs=[(0, 1), (1, 2)])
+        with pytest.raises(InvariantViolation, match="would shorten the distance of 0"):
+            tree.attach(0, [2])
+        assert not tree.has_arc(0, 2) and 0 not in tree.into[2]
+        tree.validate_against_bfs()
+
+    def test_one_node_path_drops_its_sink_arc(self):
+        tree = SinkDistanceTree(3, 2, 3, arcs=[(0, 1), (1, 2), (0, 2)])
+        tree.reverse_path([0])
+        assert not tree.has_arc(0, 2) and tree.level[0] == 2 and tree.dirty == {0}
+        tree.validate_local()
         tree.validate_against_bfs()
 
 
@@ -386,6 +439,162 @@ TestTwinTreeMachine = TwinTreeMachine.TestCase
 TestTwinTreeMachine.settings = settings(max_examples=150, stateful_step_count=25, deadline=None)
 
 
+def tree_state(tree: SinkDistanceTree) -> tuple:
+    """What the fused updates must leave exactly as the per-arc calls do."""
+    return tuple(tree.level), tuple(tree.parent), frozenset(tree.dirty), tree.repair_scans
+
+
+def apply_both(trees, op: str, *args):
+    """Apply one update to each tree; all must raise alike or not at all."""
+    outcomes = []
+    for tree in trees:
+        try:
+            getattr(tree, op)(*args)
+            outcomes.append(None)
+        except (ValueError, InvariantViolation) as error:
+            outcomes.append((type(error), str(error)))
+    assert outcomes.count(outcomes[0]) == len(outcomes), (op, args, outcomes)
+    return outcomes[0]
+
+
+class RandomDraws:
+    """The choices ``draw_attach`` and ``draw_path`` make, from a seeded generator."""
+
+    def __init__(self, rng: random.Random):
+        self.rng = rng
+
+    def usual(self) -> bool:
+        return self.rng.random() < 0.9
+
+    def one(self, pool):
+        return self.rng.choice(pool)
+
+    def some(self, pool):
+        return self.rng.sample(pool, min(len(pool), self.rng.randint(0, 3)))
+
+
+class HypothesisDraws:
+    """The same choices, drawn by hypothesis."""
+
+    def __init__(self, data):
+        self.data = data
+
+    def usual(self) -> bool:
+        return self.data.draw(st.booleans(), label="usual")
+
+    def one(self, pool):
+        return self.data.draw(st.sampled_from(pool), label="node")
+
+    def some(self, pool):
+        return self.data.draw(st.lists(st.sampled_from(pool), unique=True, max_size=4), label="nodes")
+
+
+def draw_attach(draw, tree: SinkDistanceTree):
+    """``(u, targets)`` for ``attach``: usually a node with a sink arc and fresh live targets."""
+    nodes = range(tree.node_count)
+    with_sink_arc = sorted(tree.into[tree.sink])
+    u = draw.one(with_sink_arc) if with_sink_arc and draw.usual() else draw.one(list(nodes))
+    fresh = [v for v in nodes if v not in tree.deleted and v not in (u, tree.sink) and v not in tree.out[u]]
+    return u, draw.some(fresh if fresh and draw.usual() else [v for v in nodes if v != u])
+
+
+def draw_path(draw, tree: SinkDistanceTree):
+    """A path for ``reverse_path``: usually a tracked path to the sink, else any nodes."""
+    nodes = list(range(tree.node_count))
+    reach = [v for v in nodes if v != tree.sink and tree.level[v] <= tree.depth_limit]
+    if reach and draw.usual():
+        return tree.path_to_sink(draw.one(reach))[:-1]
+    return draw.some(nodes) or [draw.one(nodes)]
+
+
+class FusedTwinMachine(SinkTreeMachine):
+    """The machine above with ``attach`` and ``reverse_path``, shadowed arc by arc.
+
+    A twin takes each fused update as the per-arc calls it stands for.  After
+    every update both agree on levels, parents, marked nodes and repair
+    scans, also when the update breaks a contract part way through and both
+    raise the same error.
+    """
+
+    max_nodes = 12
+    max_depth = 9
+
+    @initialize(data=st.data())
+    def build(self, data):
+        super().build(data)
+        tree = self.tree
+        arcs = [(u, v) for u in range(tree.node_count) for v in tree.out[u]]
+        self.twin = PerArcTree(tree.node_count, tree.sink, tree.depth_limit, arcs)
+
+    def apply(self, op: str, *args) -> None:
+        apply_both((self.tree, self.twin), op, *args)
+
+    @rule(data=st.data())
+    def attach(self, data):
+        before = self.signatures()
+        self.apply("attach", *draw_attach(HypothesisDraws(data), self.tree))
+        self.check(data, before)
+
+    @rule(data=st.data())
+    def reverse_path(self, data):
+        before = self.signatures()
+        self.apply("reverse_path", draw_path(HypothesisDraws(data), self.tree))
+        self.check(data, before)
+
+    def check(self, data, before):
+        assert tree_state(self.tree) == tree_state(self.twin)
+        self.twin.validate_local()
+        super().check(data, before)
+
+
+TestFusedTwinMachine = FusedTwinMachine.TestCase
+TestFusedTwinMachine.settings = settings(max_examples=150, stateful_step_count=25, deadline=None)
+
+
+class CountingTree(SinkDistanceTree):
+    """Counts the repairs that go past their first scan, and the settles."""
+
+    cascades = settles = 0
+
+    def _cascade(self, queue, i):
+        if i == 1:  # entered from a fused update's inline scan
+            self.cascades += 1
+        super()._cascade(queue, i)
+
+    def _settle(self, queued):
+        self.settles += 1
+        super()._settle(queued)
+
+
+def test_fused_updates_match_per_arc_calls():
+    """Random ``attach`` and ``reverse_path`` calls on sparse digraphs, compared after each one."""
+    rng = random.Random(37)
+    draw = RandomDraws(rng)
+    cascades = settles = 0
+    for _ in range(300):
+        nodes = rng.randint(6, 40)
+        sink = nodes - 1
+        arcs = sparse_digraph(rng, nodes, sink)
+        limit = rng.randint(3, 25)
+        tree = CountingTree(nodes, sink, limit, arcs)
+        twin = PerArcTree(nodes, sink, limit, arcs)
+        # A valid update drops a sink arc; once none is left, none is valid.
+        while tree.into[sink]:
+            if rng.random() < 0.5:
+                update = ("attach", *draw_attach(draw, tree))
+            else:
+                update = ("reverse_path", draw_path(draw, tree))
+            apply_both((tree, twin), *update)
+            assert tree_state(tree) == tree_state(twin), update
+            tree.validate_local()
+            twin.validate_local()
+        tree.validate_against_bfs()
+        cascades += tree.cascades
+        settles += tree.settles
+    # The runs reach both stages past the inline scan.
+    assert cascades > 100 and settles > 0, (cascades, settles)
+
+
 SINK = 11
 # The cycle 0 <-> 1 hangs off the sink by the arc 0 -> sink.  Nodes 2 and 3
 # point into it and also into the chain 4..10, where node 4 + i - 1 sits at
@@ -558,3 +767,37 @@ class TestEngineWithReferenceRepair:
 
     def test_minmax_adversary(self, monkeypatch):
         self.run_both(monkeypatch, gen_minmax_adversary(16))
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [gen_random(640, 1024, 3, 1), gen_random(640, 1024, 3, 2), gen_star_chain(30)],
+    ids=["random-1", "random-2", "star-chain"],
+)
+def test_engine_tree_matches_per_arc_calls_after_every_update(monkeypatch, instance):
+    """The fast engine's tree, next to a twin engine's tree that goes arc by arc."""
+    engine = FastSapEngine(instance)
+    with monkeypatch.context() as patch:
+        patch.setattr(sapmatch.fast_engine, "SinkDistanceTree", PerArcTree)
+        twin = FastSapEngine(instance)
+    assert type(engine.tree) is SinkDistanceTree and type(twin.tree) is PerArcTree
+    logs = []
+    for tree in (engine.tree, twin.tree):
+        log = []
+        for name in ("attach", "reverse_path", "delete_node"):
+
+            def logged(*args, _tree=tree, _log=log, _bound=getattr(tree, name), _name=name):
+                _bound(*args)
+                # Taken before the step's validate_local clears dirty.
+                _log.append((_name, args, tree_state(_tree)))
+
+            setattr(tree, name, logged)
+        logs.append(log)
+    for client in range(instance.client_count):
+        assert engine.step(client) == twin.step(client)
+        assert logs[0] == logs[1], client
+        assert logs[0], client
+        logs[0].clear()
+        logs[1].clear()
+    assert engine.prune_events == twin.prune_events
+    assert engine.state.server_of_client == twin.state.server_of_client

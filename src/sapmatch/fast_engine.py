@@ -1,13 +1,13 @@
 """Shortest-augmenting-path engine backed by a dynamic residual digraph.
 
 The matching is mirrored as a directed graph: unmatched edges point from
-client to server, matched edges from server to client, and every vertex that
-could end an augmenting path has an arc to a shared sink.  Shortest paths to
-the sink are maintained up to a depth limit.  The engine is ``SapEngine``
-with that shortcut: an arrival whose distance exceeds the limit runs
-``SapEngine``'s own search, and when it fails the shared pruning retires
-every vertex it reached (none of them can ever lie on an augmenting path
-again), here by also removing them from the digraph.
+client to server, matched edges from server to client, and every free server
+has an arc to a shared sink.  A client joins the digraph when it arrives.
+Shortest paths to the sink are maintained up to a depth limit.  The engine
+is ``SapEngine`` with that shortcut: an arrival whose distance exceeds the
+limit runs ``SapEngine``'s own search, and when it fails the shared pruning
+retires every vertex it reached (none of them can ever lie on an augmenting
+path again), here by also removing them from the digraph.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ class PruneEvent:
 class _BfsCheckedTree(SinkDistanceTree):
     """A sink tree that checks itself against a fresh BFS after every change.
 
-    Its ``attach`` and ``reverse_path`` go arc by arc, so each arc change is checked.
+    Its ``reverse_path`` goes arc by arc, so each arc change of a flip is checked.
     """
 
     def insert_arc(self, u: int, v: int) -> None:
@@ -54,9 +54,8 @@ class _BfsCheckedTree(SinkDistanceTree):
         self.validate_against_bfs()
 
     def attach(self, u: int, targets: Sequence[int]) -> None:
-        for v in targets:
-            self.insert_arc(u, v)
-        self.delete_arc(u, self.sink)
+        super().attach(u, targets)
+        self.validate_against_bfs()
 
     def reverse_path(self, nodes: Sequence[int]) -> None:
         for u, v in zip(nodes, nodes[1:]):
@@ -71,13 +70,15 @@ class FastSapEngine(SapEngine):
     Arrival bookkeeping, the fallback search and dead-server pruning are
     ``SapEngine``'s; ``_retire`` also removes the reached nodes from the
     digraph and logs a ``PruneEvent``, so ``dead`` always equals the tree's
-    removed server nodes.  A ``step`` changes the tree in one ``attach`` call
-    (the client's arcs) and, when it matches, one ``reverse_path`` call (the
-    flip), and ends with the tree's local Bellman check
+    removed server nodes.  A client's node has no arcs until it arrives.  A
+    ``step`` inserts it with one ``attach`` call (its arcs and its level)
+    and, when it matches, flips the path with one ``reverse_path`` call, and
+    ends with the tree's local Bellman check
     (``SinkDistanceTree.validate_local``), which costs in proportion to the
     arrival's updates and proves the tree still equals a fresh truncated BFS.
     ``run`` also checks it against a full BFS once at the end, and
-    ``debug=True`` does so after every single arc change as well.
+    ``debug=True`` does so after every ``attach`` and every arc change of a
+    flip as well.
     """
 
     def __init__(
@@ -93,16 +94,10 @@ class FastSapEngine(SapEngine):
         self.n = n
         self.sink = n + instance.server_count
         limit = default_depth_limit(n) if depth_limit is None else depth_limit
-        # Clients that have not arrived yet already sit in the digraph,
-        # attached only to the sink; their dummy arc disappears on arrival.
-        arcs = [(self.n + s, self.sink) for s in range(instance.server_count)]
-        arcs += [(c, self.sink) for c in range(n)]
+        arcs = [(n + s, self.sink) for s in range(instance.server_count)]
         tree_type = _BfsCheckedTree if debug else SinkDistanceTree
         self.tree = tree_type(self.sink + 1, self.sink, limit, arcs)
         self.prune_events: list[PruneEvent] = []
-
-    def _server_node(self, server: int) -> int:
-        return self.n + server
 
     def _retire(self, client: int, servers: dict[int, int]) -> None:
         """Retire the reached servers and remove every reached node from the digraph.
@@ -127,7 +122,6 @@ class FastSapEngine(SapEngine):
         neighbors = self.arrive(client)
         tree, n, log = self.tree, self.n, self.log
         deleted = tree.deleted
-        # The dummy arc goes last, which keeps every insertion distance-neutral.
         tree.attach(client, [node for s in neighbors if (node := n + s) not in deleted])
 
         if tree.level[client] <= tree.depth_limit:
@@ -144,7 +138,7 @@ class FastSapEngine(SapEngine):
             log.brute_paths += 1
             nodes = [v + n if i % 2 else v for i, v in enumerate(path.vertices)]
         flip_path(self.state, path, self.instance.arrivals)
-        # Reverse the path arcs starting next to the client; the dummy arc of
+        # Reverse the path arcs starting next to the client; the sink arc of
         # the terminal server goes last, once that server is matched.
         tree.reverse_path(nodes)
         tree.validate_local()

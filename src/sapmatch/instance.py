@@ -88,11 +88,6 @@ class ArrivalInstance:
     def neighbors(self, client: int) -> tuple[int, ...]:
         return self.arrivals[client][1]
 
-    def capacity(self, server: int) -> int:
-        if self.capacities is None:
-            return 1
-        return self.capacities[server]
-
     def has_unit_capacities(self) -> bool:
         return self.capacities is None or all(u == 1 for u in self.capacities)
 

@@ -1,8 +1,9 @@
 """Bounded-depth dynamic shortest paths to a fixed sink in a directed graph.
 
 Supports arc deletions freely, arc insertions under the caller's guarantee
-that no insertion shortens any distance, and whole-node removal; ``attach``
-and ``reverse_path`` each make a run of arc updates in one call.  Distances
+that no insertion shortens any distance, and whole-node removal.  ``attach``
+inserts a node: it gives a node with no arcs its out-arcs and its first
+level.  ``reverse_path`` makes a run of arc updates in one call.  Distances
 are maintained exactly up to ``depth_limit``; anything further is collapsed
 into a single HIGH level.
 
@@ -60,9 +61,11 @@ it only at
   whose parent a repair rewrote: stage 1 rescans only seeds and children of
   risen nodes, stage 2 rewrites only queued nodes, which are such nodes,
   and children of affected nodes, and every affected node rises);
-- a removed node and its in-neighbours.
+- a removed node and its in-neighbours;
+- the node ``attach`` inserts: with no in-arcs, only its own condition can
+  change.
 
-An insertion breaks no condition, because ``insert_arc``, ``attach`` and
+Any other insertion breaks no condition, because ``insert_arc`` and
 ``reverse_path`` reject every arc that would shorten a distance.  The tree
 records exactly these nodes in ``dirty``; ``validate_local`` checks them and
 clears the set.  If the tree equalled a fresh BFS before, it equals one
@@ -85,7 +88,8 @@ class SinkDistanceTree:
     ``level[v]`` is the exact distance from ``v`` to the sink when it is at
     most ``depth_limit``; the sentinel value ``high`` (= depth_limit + 1)
     means "further than the limit".  Levels never decrease over the life of
-    the structure; a violation of that contract raises InvariantViolation.
+    the structure, except that ``attach`` gives a node with no arcs its first
+    level; a violation of that contract raises InvariantViolation.
     ``parent[v]`` is the only record of the tree: the children of ``v`` are
     the nodes of ``into[v]`` whose parent is ``v``.
     """
@@ -158,7 +162,7 @@ class SinkDistanceTree:
         self.into[v].add(u)
 
     def delete_arc(self, u: int, v: int) -> None:
-        if v not in self.out[u]:
+        if not 0 <= u < self.node_count or v not in self.out[u]:
             raise ValueError("arc not present")
         self.out[u].discard(v)
         self.into[v].discard(u)
@@ -167,6 +171,8 @@ class SinkDistanceTree:
 
     def delete_node(self, v: int) -> None:
         """Remove a node and all incident arcs; its level becomes permanently HIGH."""
+        if not 0 <= v < self.node_count:
+            raise ValueError(f"node {v} out of range")
         if v == self.sink:
             raise ValueError("the sink cannot be removed")
         if v in self.deleted:
@@ -188,48 +194,31 @@ class SinkDistanceTree:
             self._repair(kids)
 
     def attach(self, u: int, targets: Sequence[int]) -> None:
-        """``insert_arc(u, v)`` for each ``v`` in ``targets``, then ``delete_arc(u, sink)``,
-        with the repair's first scan inline.
+        """Give ``u``, a live node with no arcs, an arc to each of ``targets`` and its first level.
+
+        No arc enters ``u``, so no other level depends on its own: one scan of
+        the new arcs, with a repair scan's (level, index) tie-break, sets it.
         """
-        level, parent, out, into, dirty = self.level, self.parent, self.out, self.into, self.dirty
-        deleted, count, sink, high = self.deleted, self.node_count, self.sink, self.high
+        level, out, into, deleted = self.level, self.out, self.into, self.deleted
+        if not 0 <= u < self.node_count or u == self.sink or u in deleted:
+            raise ValueError(f"node {u} is not a live node other than the sink")
+        if out[u] or into[u]:
+            raise ValueError(f"node {u} already has arcs")
+        arcs = set(targets)
+        if len(arcs) != len(targets):
+            raise ValueError("arc already present")
+        best, support = self.high, None
         for v in targets:
-            if (0 <= u < count and 0 <= v < count and u != v and u != sink and u not in deleted
-                    and v not in deleted and v not in out[u] and level[v] + 1 >= level[u]):
-                out[u].add(v)
-                into[v].add(u)
-            else:
-                self.insert_arc(u, v)  # raises the error the per-arc call raises
-        out_u = out[u]
-        if sink not in out_u:
-            raise ValueError("arc not present")
-        out_u.discard(sink)
-        into[sink].discard(u)
-        if parent[u] != sink:
-            return
-        # The first scan of _repair((u,)), as in reverse_path.
-        dirty.add(u)
-        best, support = high + 2, None
-        for w in out_u:
-            candidate = level[w] + 1
-            if candidate < best or (candidate == best and w < support):
-                best, support = candidate, w
-        if best >= high:
-            best, support = high, None
-        current = level[u]
-        if best < current:
-            raise InvariantViolation(f"level of node {u} tried to decrease")
-        parent[u] = support
-        if best > current:
-            level[u] = best
-            queue = [u]
-            for x in into[u]:
-                dirty.add(x)
-                if parent[x] == u:
-                    queue.append(x)
-            if len(queue) > 1:
-                self._cascade(queue, 1)
-                return
+            if not 0 <= v < self.node_count or v == u or v in deleted:
+                raise ValueError(f"target {v} is not a live node other than {u}")
+            candidate = level[v] + 1
+            if candidate < best or (candidate == best and support is not None and v < support):
+                best, support = candidate, v
+        out[u] = arcs
+        for v in targets:
+            into[v].add(u)
+        level[u], self.parent[u] = best, support
+        self.dirty.add(u)
         self.repair_scans += 1
 
     def reverse_path(self, nodes: Sequence[int]) -> None:
@@ -237,13 +226,15 @@ class SinkDistanceTree:
         then ``delete_arc(nodes[-1], sink)``, with each repair's first scan inline.
         """
         level, parent, out, into, dirty = self.level, self.parent, self.out, self.into, self.dirty
-        deleted, count, sink, high = self.deleted, self.node_count, self.sink, self.high
+        deleted, sink, high = self.deleted, self.sink, self.high
+        if not nodes or min(nodes) < 0 or max(nodes) >= self.node_count:
+            raise ValueError("a path needs one or more nodes, all in range")
         last = len(nodes) - 1
         for i, u in enumerate(nodes):
             if i < last:
                 v = nodes[i + 1]
-                if (0 <= u < count and 0 <= v < count and u != v and v != sink and u not in deleted
-                        and v not in deleted and u not in out[v] and level[u] + 1 >= level[v]):
+                if (u != v and v != sink and u not in deleted and v not in deleted
+                        and u not in out[v] and level[u] + 1 >= level[v]):
                     out[v].add(u)
                     into[u].add(v)
                 else:

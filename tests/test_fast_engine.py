@@ -30,24 +30,21 @@ def rebuild_arcs(engine: FastSapEngine) -> set[tuple[int, int]]:
     n = inst.client_count
     dead = engine.tree.deleted
     arcs: set[tuple[int, int]] = set()
-    for c in range(n):
-        cnode = c
-        if cnode in dead:
-            continue
-        if c >= engine.state.arrived_count:
-            arcs.add((cnode, engine.sink))
+    # A client that has not arrived has no arcs.
+    for c in range(engine.state.arrived_count):
+        if c in dead:
             continue
         home = engine.state.server_of_client[c]
         for s in inst.neighbors(c):
-            snode = engine._server_node(s)
+            snode = n + s
             if snode in dead:
                 continue
             if home == s:
-                arcs.add((snode, cnode))
+                arcs.add((snode, c))
             else:
-                arcs.add((cnode, snode))
+                arcs.add((c, snode))
     for s in range(inst.server_count):
-        snode = engine._server_node(s)
+        snode = n + s
         if snode not in dead and engine.state.is_free(s):
             arcs.add((snode, engine.sink))
     return arcs
@@ -100,8 +97,8 @@ class TestBasics:
     def test_initial_levels(self):
         inst = ArrivalInstance.build(2, [])
         engine = FastSapEngine(inst, depth_limit=3)
-        assert engine.tree.level[engine._server_node(0)] == 1
-        assert engine.tree.level[engine._server_node(1)] == 1
+        assert engine.tree.level[engine.n + 0] == 1
+        assert engine.tree.level[engine.n + 1] == 1
         assert engine.tree.level[engine.sink] == 0
 
     def test_depth_limit_validation(self):
@@ -328,8 +325,9 @@ class TestValidationContract:
         assert counts == {"insert_arc": 0, "delete_arc": 0, "attach": instance.client_count, "reverse_path": matched}
 
     def test_debug_checks_by_bfs_after_every_change(self):
+        # attach is checked once per call; reverse_path goes arc by arc.
         engine = FastSapEngine(self.INSTANCE, debug=True)
-        changes = ("insert_arc", "delete_arc", "delete_node")
+        changes = ("attach", "insert_arc", "delete_arc", "delete_node")
         counts = count_calls(engine.tree, ("validate_against_bfs", *changes))
         for c in range(self.INSTANCE.client_count):
             engine.step(c)

@@ -442,7 +442,7 @@ class TestValueTypes:
 
 def unpruned_engine(inst: ArrivalInstance) -> SapEngine:
     """The same engine on a shared capacity list, which turns pruning off."""
-    return SapEngine(inst, capacity=[inst.capacity(s) for s in range(inst.server_count)])
+    return SapEngine(inst, capacity=list(inst.capacities or (1,) * inst.server_count))
 
 
 def with_capacity(inst: ArrivalInstance, units: int) -> ArrivalInstance:

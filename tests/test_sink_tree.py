@@ -24,12 +24,7 @@ from sapmatch import (
 
 
 class PerArcUpdates:
-    """``attach`` and ``reverse_path`` as the per-arc calls they stand for."""
-
-    def attach(self, u, targets):
-        for v in targets:
-            self.insert_arc(u, v)
-        self.delete_arc(u, self.sink)
+    """``reverse_path`` as the per-arc calls it stands for."""
 
     def reverse_path(self, nodes):
         for u, v in zip(nodes, nodes[1:]):
@@ -48,8 +43,8 @@ class ScanAndRaiseTree(PerArcUpdates, SinkDistanceTree):
     Every node climbs one level per scan, however far it has to go.  Written
     out in full so that it shares no code with the repair under test, and it
     finds a node's children by a full scan of ``parent`` rather than off the
-    node's in-arcs.  Its ``attach`` and ``reverse_path`` go arc by arc, so
-    this repair runs on every update.
+    node's in-arcs.  Its ``reverse_path`` goes arc by arc, so this repair
+    runs on every update that can start one.
     """
 
     def children(self, u):
@@ -95,7 +90,7 @@ def build_random_digraph(rng: random.Random, nodes: int, sink: int, density: flo
 
 class TestInit:
     def test_star_levels(self):
-        # two "servers" with dummy arcs to the sink
+        # two "servers" with arcs to the sink
         tree = SinkDistanceTree(3, sink=2, depth_limit=4, arcs=[(0, 2), (1, 2)])
         assert tree.level[0] == tree.level[1] == 1
         assert tree.level[2] == 0
@@ -174,17 +169,63 @@ class TestFusedOps:
             tree.reverse_path([0, 1])
 
     def test_attach_to_a_removed_node_rejected(self):
-        tree = SinkDistanceTree(3, 2, 3, arcs=[(0, 2), (1, 2)])
+        # Node 0 has no arcs; node 1 is removed.
+        tree = SinkDistanceTree(3, 2, 3, arcs=[(1, 2)])
         tree.delete_node(1)
-        with pytest.raises(ValueError, match="cannot attach arcs to a removed node"):
-            tree.attach(0, [1])
+        tree.validate_local()
+        before = full_state(tree)
+        with pytest.raises(ValueError, match="target 1 is not a live node"):
+            tree.attach(0, [2, 1])
+        with pytest.raises(ValueError, match="node 1 is not a live node"):
+            tree.attach(1, [2])
+        assert full_state(tree) == before
 
     def test_attach_with_a_shortening_arc_raises(self):
-        # 0 -> 1 -> sink: an arc 0 -> sink would drop 0's distance.
+        # 0 -> 1 -> sink: an arc 0 -> sink would drop 0's distance, and
+        # attach takes only a node with no arcs.
         tree = SinkDistanceTree(3, 2, 3, arcs=[(0, 1), (1, 2)])
-        with pytest.raises(InvariantViolation, match="would shorten the distance of 0"):
+        with pytest.raises(ValueError, match="node 0 already has arcs"):
             tree.attach(0, [2])
         assert not tree.has_arc(0, 2) and 0 not in tree.into[2]
+        tree.validate_against_bfs()
+
+    @pytest.mark.parametrize(
+        "targets, level, parent",
+        # The (level, index) tie-break of a repair scan picks node 1 over 2;
+        # with no target the node stays at HIGH, which is 4.
+        [([3, 2, 1], 2, 1), ([3], 3, 3), ([], 4, None)],
+    )
+    def test_attach_sets_the_first_level_in_one_scan(self, targets, level, parent):
+        # Nodes 1 and 2 sit at level 1, node 3 at 2; node 0 has no arcs.
+        tree = SinkDistanceTree(5, 4, 3, arcs=[(1, 4), (2, 4), (3, 2)])
+        tree.attach(0, targets)
+        assert (tree.level[0], tree.parent[0]) == (level, parent)
+        assert tree.out[0] == set(targets) and all(0 in tree.into[v] for v in targets)
+        assert tree.dirty == {0} and tree.repair_scans == 1
+        tree.validate_local()
+        tree.validate_against_bfs()
+
+    @pytest.mark.parametrize(
+        "u, targets, message",
+        [
+            (4, [2], "node 4 is not a live node other than the sink"),
+            (0, [4], "node 0 already has arcs"),  # an in-arc, no out-arc
+            (2, [2], "target 2 is not a live node other than 2"),
+            (2, [0, 0], "arc already present"),
+        ],
+        ids=["sink", "in-arc", "self-arc", "duplicate"],
+    )
+    def test_attach_needs_a_live_node_with_no_arcs(self, u, targets, message):
+        # 1 -> 0 and 1 -> sink; node 2 has no arcs.  The tests above take a
+        # removed node and one with out-arcs.
+        tree = SinkDistanceTree(5, 4, 3, arcs=[(1, 0), (1, 4)])
+        before = full_state(tree)
+        with pytest.raises(ValueError, match=message):
+            tree.attach(u, targets)
+        assert full_state(tree) == before
+        tree.attach(2, [0, 4])
+        assert (tree.level[2], tree.parent[2]) == (1, 4)
+        tree.validate_local()
         tree.validate_against_bfs()
 
     def test_one_node_path_drops_its_sink_arc(self):
@@ -193,6 +234,34 @@ class TestFusedOps:
         assert not tree.has_arc(0, 2) and tree.level[0] == 2 and tree.dirty == {0}
         tree.validate_local()
         tree.validate_against_bfs()
+
+
+@pytest.mark.parametrize(
+    "op, args",
+    [
+        ("delete_node", (-1,)),
+        ("delete_node", (9,)),
+        ("delete_arc", (-3, 3)),
+        ("attach", (-2, [])),
+        ("attach", (-1, [3])),
+        ("attach", (7, [])),
+        ("attach", (4, [-1])),
+        ("attach", (4, [5])),
+        ("reverse_path", ([],)),
+        ("reverse_path", ([-4],)),
+        ("reverse_path", ([0, 5],)),
+    ],
+    ids=lambda x: str(x).replace(" ", ""),
+)
+def test_node_ids_are_range_checked_before_any_change(op, args):
+    # Node 4 has no arcs, so an attach that read node -1 as node 4 would
+    # pass; a path that read node -4 as node 1 would drop 1's sink arc, and
+    # so would delete_arc reading node -3 as node 2 drop 2's.
+    tree = SinkDistanceTree(5, 3, 3, arcs=[(0, 1), (1, 3), (2, 3)])
+    before = full_state(tree)
+    with pytest.raises(ValueError):
+        getattr(tree, op)(*args)
+    assert full_state(tree) == before
 
 
 class TestNodeRemoval:
@@ -444,6 +513,12 @@ def tree_state(tree: SinkDistanceTree) -> tuple:
     return tuple(tree.level), tuple(tree.parent), frozenset(tree.dirty), tree.repair_scans
 
 
+def full_state(tree: SinkDistanceTree) -> tuple:
+    """``tree_state`` with the arcs and the removed nodes: all a rejected call must leave alone."""
+    arcs = tuple(map(frozenset, tree.out)), tuple(map(frozenset, tree.into))
+    return tree_state(tree), arcs, frozenset(tree.deleted)
+
+
 def apply_both(trees, op: str, *args):
     """Apply one update to each tree; all must raise alike or not at all."""
     outcomes = []
@@ -490,12 +565,12 @@ class HypothesisDraws:
 
 
 def draw_attach(draw, tree: SinkDistanceTree):
-    """``(u, targets)`` for ``attach``: usually a node with a sink arc and fresh live targets."""
-    nodes = range(tree.node_count)
-    with_sink_arc = sorted(tree.into[tree.sink])
-    u = draw.one(with_sink_arc) if with_sink_arc and draw.usual() else draw.one(list(nodes))
-    fresh = [v for v in nodes if v not in tree.deleted and v not in (u, tree.sink) and v not in tree.out[u]]
-    return u, draw.some(fresh if fresh and draw.usual() else [v for v in nodes if v != u])
+    """``(u, targets)`` for ``attach``: usually a node with no arcs and live targets other than the sink."""
+    nodes = list(range(tree.node_count))
+    bare = [v for v in nodes if v != tree.sink and v not in tree.deleted and not tree.out[v] and not tree.into[v]]
+    u = draw.one(bare) if bare and draw.usual() else draw.one(nodes)
+    live = [v for v in nodes if v not in tree.deleted and v not in (u, tree.sink)]
+    return u, draw.some(live if live and draw.usual() else nodes)
 
 
 def draw_path(draw, tree: SinkDistanceTree):
@@ -508,12 +583,13 @@ def draw_path(draw, tree: SinkDistanceTree):
 
 
 class FusedTwinMachine(SinkTreeMachine):
-    """The machine above with ``attach`` and ``reverse_path``, shadowed arc by arc.
+    """The machine above with ``attach`` and ``reverse_path``, shadowed by a twin.
 
-    A twin takes each fused update as the per-arc calls it stands for.  After
-    every update both agree on levels, parents, marked nodes and repair
-    scans, also when the update breaks a contract part way through and both
-    raise the same error.
+    The twin takes each ``reverse_path`` as the per-arc calls it stands for.
+    After every update both agree on levels, parents, marked nodes and
+    repair scans, also when the update breaks a contract part way through
+    and both raise the same error.  Some nodes start with no arcs, so that
+    ``attach`` has nodes to insert.
     """
 
     max_nodes = 12
@@ -523,7 +599,10 @@ class FusedTwinMachine(SinkTreeMachine):
     def build(self, data):
         super().build(data)
         tree = self.tree
-        arcs = [(u, v) for u in range(tree.node_count) for v in tree.out[u]]
+        nodes = [v for v in range(tree.node_count) if v != tree.sink]
+        bare = data.draw(st.sets(st.sampled_from(nodes)), label="bare")
+        arcs = [(u, v) for u in nodes for v in tree.out[u] if u not in bare and v not in bare]
+        self.tree = SinkDistanceTree(tree.node_count, tree.sink, tree.depth_limit, arcs)
         self.twin = PerArcTree(tree.node_count, tree.sink, tree.depth_limit, arcs)
 
     def apply(self, op: str, *args) -> None:
@@ -574,11 +653,14 @@ def test_fused_updates_match_per_arc_calls():
     for _ in range(300):
         nodes = rng.randint(6, 40)
         sink = nodes - 1
-        arcs = sparse_digraph(rng, nodes, sink)
+        # A quarter of the nodes start with no arcs, for attach to insert.
+        bare = set(rng.sample(range(sink), nodes // 4))
+        arcs = {(u, v) for u, v in sparse_digraph(rng, nodes, sink) if u not in bare and v not in bare}
         limit = rng.randint(3, 25)
         tree = CountingTree(nodes, sink, limit, arcs)
         twin = PerArcTree(nodes, sink, limit, arcs)
-        # A valid update drops a sink arc; once none is left, none is valid.
+        # A valid flip drops a sink arc, and attach seldom adds one; once
+        # none is left, no flip is valid.
         while tree.into[sink]:
             if rng.random() < 0.5:
                 update = ("attach", *draw_attach(draw, tree))
@@ -588,6 +670,9 @@ def test_fused_updates_match_per_arc_calls():
             assert tree_state(tree) == tree_state(twin), update
             tree.validate_local()
             twin.validate_local()
+            if update[0] == "attach":
+                # The twins share attach: a fresh BFS is its reference.
+                tree.validate_against_bfs()
         tree.validate_against_bfs()
         cascades += tree.cascades
         settles += tree.settles
